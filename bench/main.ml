@@ -56,6 +56,20 @@ let windows_run_total = Atomic.make 0
 let windows_batched_total = Atomic.make 0
 let windows_widened_total = Atomic.make 0
 
+(* Why the running target ran no simulator events of its own, if it
+   ran none; the JSON writes null and this reason instead of 0. *)
+let events_note = ref None
+
+(* Words allocated by this domain so far, exactly: [Gc.minor_words]
+   counts the minor heap up to the allocation pointer, whereas the
+   [minor_words] of [Gc.quick_stat] and [Gc.counters] catch up only at a
+   minor collection, so their deltas move with the heap's fill level
+   when a measurement starts. Major minus promoted words adds the
+   direct major-heap allocations. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 (* Per-cluster accounting at the end of a point: events, the exchange's
    window stats, and the worker-pool join (a no-op in classic mode). *)
 let note_cluster cluster =
@@ -162,7 +176,14 @@ let cache :
 let sweep_cached ?(wire = false) ?sim_domains:sd ~num_nodes () =
   let sim_domains = Option.value sd ~default:!sim_domains in
   match Hashtbl.find_opt cache (num_nodes, wire, sim_domains) with
-  | Some s -> s
+  | Some s ->
+    events_note :=
+      Some
+        (Printf.sprintf
+           "reuses the cached %d-node sweep; its events count under the \
+            target that ran it"
+           num_nodes);
+    s
   | None ->
     let s = sweep ~wire ~sim_domains ~num_nodes () in
     Hashtbl.replace cache (num_nodes, wire, sim_domains) s;
@@ -403,6 +424,28 @@ let parallel_smoke () =
   end
   else Format.printf "  sim-domains 1 and 4 are bitwise identical@."
 
+(* Hot-path allocation ceiling for perf-smoke: one quick fig6 point
+   (4 nodes, passive, 1 KB, classic loop) must allocate at most this
+   many words per simulated event in steady state. Allocation is a
+   count, not a timing — it repeats exactly from run to run — so the
+   ceiling sits about one word above the figure measured when it was
+   pinned (33.32), and one extra allocation per event (at least two
+   words) trips it. *)
+let words_per_event_ceiling = 34.3
+
+let fig6_point_words_per_event () =
+  let config = Config.make ~num_nodes:4 ~num_nets:2 ~style:Style.Passive () in
+  let cluster = Cluster.create config in
+  ignore (Metrics.install_fault_sampler cluster ~interval:(Vtime.ms 50));
+  Cluster.start cluster;
+  Workload.saturate cluster ~size:1024;
+  Cluster.run_for cluster (Vtime.ms 100);
+  let e0 = Metrics.events_processed cluster and w0 = allocated_words () in
+  Cluster.run_for cluster (Vtime.ms 200);
+  let w1 = allocated_words () and e1 = Metrics.events_processed cluster in
+  note_cluster cluster;
+  (w1 -. w0) /. float_of_int (e1 - e0)
+
 (* Window-batching gate for `dune runtest` (perf-smoke): a quick fig6
    slice at sim-domains 1 with batching on vs off must agree on every
    figure, the event count and the protocol telemetry, AND the batched
@@ -410,6 +453,11 @@ let parallel_smoke () =
    batching off. Both checks are deterministic (no wall clock), so this
    cannot flake on a loaded CI host. Exits 1 on any breach. *)
 let perf_smoke () =
+  let wpe = fig6_point_words_per_event () in
+  let alloc_ok = wpe <= words_per_event_ceiling in
+  Format.printf "  fig6 point 1024B passive: %.2f words/event (ceiling %.1f)%s@."
+    wpe words_per_event_ceiling
+    (if alloc_ok then "" else "  ABOVE CEILING");
   let point ~batch size =
     let config =
       Config.make ~num_nodes:4 ~num_nets:2 ~style:Style.Passive ~wire_bytes:true
@@ -442,7 +490,7 @@ let perf_smoke () =
     in
     (fingerprint, st)
   in
-  let failed = ref false in
+  let failed = ref (not alloc_ok) in
   List.iter
     (fun size ->
       let fa, sa = point ~batch:true size in
@@ -470,12 +518,13 @@ let perf_smoke () =
       end)
     [ 700; 1024 ];
   if !failed then begin
-    Format.printf "  window batching BREACHED the perf-smoke gate@.";
+    Format.printf "  BREACHED the perf-smoke gate@.";
     exit 1
   end
   else
     Format.printf
-      "  batching on/off bitwise identical; amortization engaged@."
+      "  batching on/off bitwise identical; amortization engaged; \
+       allocation within ceiling@."
 
 (* Overhead gate for `dune runtest` (bench-gate): the parallel core at
    one domain, batching on, must hold >= 85% of the legacy
@@ -921,6 +970,7 @@ let ablations () =
 (* --- Bechamel micro-benchmarks ------------------------------------- *)
 
 let micro () =
+  events_note := Some "Bechamel micro-benchmarks; no cluster runs";
   let open Bechamel in
   let msgs =
     List.init 24 (fun i ->
@@ -942,7 +992,9 @@ let micro () =
                (Totem_srp.Recv_buffer.store b
                   { Totem_srp.Wire.ring_id = 1; seq; sender = 0; elements = [] })
            done;
-           ignore (Totem_srp.Recv_buffer.pop_deliverable b)))
+           while Totem_srp.Recv_buffer.has_deliverable b do
+             ignore (Totem_srp.Recv_buffer.pop_deliverable b)
+           done))
   in
   let queue_test =
     Test.make ~name:"Event_queue 256x push/pop"
@@ -1010,12 +1062,13 @@ type target_run = {
   tr_name : string;
   tr_wall_sec : float;
   tr_events : int;
-  (* Gc.quick_stat deltas over the target: allocation pressure is a
-     first-class regression axis (compare.exe --max-alloc-regression).
-     Words are per-process; with --jobs > 1 worker-domain allocation is
-     not counted, so alloc-gated baselines should be cut at --jobs 1. *)
-  tr_minor_words : float;
-  tr_major_words : float;
+  tr_events_note : string option;  (* why [tr_events] is 0 *)
+  (* GC deltas over the target: allocation pressure is a first-class
+     regression axis (compare.exe --max-alloc-regression), and
+     [allocated_words] repeats exactly for a given tree whatever ran
+     before. With --jobs > 1 worker-domain allocation is not counted,
+     so alloc-gated baselines should be cut at --jobs 1. *)
+  tr_alloc_words : float;
   tr_minor_collections : int;
   (* Exchange window counters summed over the target's partitioned
      clusters; all zero for legacy (sim-domains 0) targets. *)
@@ -1154,15 +1207,20 @@ let write_json path runs =
     pf "    {\n";
     pf "      \"name\": \"%s\",\n" (json_escape tr_name);
     pf "      \"wall_clock_sec\": %.6f,\n" tr_wall_sec;
-    pf "      \"sim_events\": %d,\n" tr_events;
+    if tr_events > 0 then pf "      \"sim_events\": %d,\n" tr_events
+    else begin
+      pf "      \"sim_events\": null,\n";
+      pf "      \"events_note\": \"%s\",\n"
+        (json_escape
+           (Option.value t.tr_events_note ~default:"ran no simulator events"))
+    end;
     pf "      \"gc\": {\n";
-    pf "        \"minor_words\": %.0f,\n" t.tr_minor_words;
-    pf "        \"major_words\": %.0f,\n" t.tr_major_words;
+    pf "        \"allocated_words\": %.0f,\n" t.tr_alloc_words;
     pf "        \"minor_collections\": %d,\n" t.tr_minor_collections;
     pf "        \"words_per_event\": %s\n"
       (json_num
          (if tr_events > 0 then
-            (t.tr_minor_words +. t.tr_major_words) /. float_of_int tr_events
+            t.tr_alloc_words /. float_of_int tr_events
           else nan));
     pf "      },\n";
     if t.tr_windows_run > 0 then begin
@@ -1172,8 +1230,9 @@ let write_json path runs =
       pf "        \"windows_widened\": %d\n" t.tr_windows_widened;
       pf "      },\n"
     end;
-    pf "      \"events_per_sec\": %.1f"
-      (if tr_wall_sec > 0.0 then float_of_int tr_events /. tr_wall_sec else 0.0);
+    if tr_events > 0 && tr_wall_sec > 0.0 then
+      pf "      \"events_per_sec\": %.1f" (float_of_int tr_events /. tr_wall_sec)
+    else pf "      \"events_per_sec\": null";
     (match Hashtbl.find_opt fig_results tr_name with
     | None -> ()
     | Some series ->
@@ -1345,14 +1404,15 @@ let () =
       | Some f ->
         Format.printf "@.=== %s ===@." t;
         let ev0 = Atomic.get events_total in
+        events_note := None;
         let wr0 = Atomic.get windows_run_total in
         let wb0 = Atomic.get windows_batched_total in
         let ww0 = Atomic.get windows_widened_total in
-        let g0 = Gc.quick_stat () in
+        let g0 = Gc.quick_stat () and a0 = allocated_words () in
         let t0 = Unix.gettimeofday () in
         f ();
         let wall_sec = Unix.gettimeofday () -. t0 in
-        let g1 = Gc.quick_stat () in
+        let g1 = Gc.quick_stat () and a1 = allocated_words () in
         let events = Atomic.get events_total - ev0 in
         Report.print_sim_rate ~events ~wall_sec ();
         runs :=
@@ -1360,8 +1420,8 @@ let () =
             tr_name = t;
             tr_wall_sec = wall_sec;
             tr_events = events;
-            tr_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-            tr_major_words = g1.Gc.major_words -. g0.Gc.major_words;
+            tr_events_note = !events_note;
+            tr_alloc_words = a1 -. a0;
             tr_minor_collections =
               g1.Gc.minor_collections - g0.Gc.minor_collections;
             tr_windows_run = Atomic.get windows_run_total - wr0;

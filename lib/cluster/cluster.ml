@@ -17,6 +17,7 @@ type t = {
   mutable nodes : node array;
   mutable deliver_hooks :
     (Totem_net.Addr.node_id -> Srp.Message.t -> unit) list;
+  mutable submit_hooks : (Totem_net.Addr.node_id -> tid:int -> Vtime.t -> unit) list;
   mutable report_hooks :
     (Totem_net.Addr.node_id -> Rrp.Fault_report.t -> unit) list;
   mutable ring_hooks :
@@ -44,6 +45,12 @@ type t = {
   mutable exchange : Exchange.t option;
 }
 
+let rec call_deliver_hooks id m = function
+  | [] -> ()
+  | h :: rest ->
+    h id m;
+    call_deliver_hooks id m rest
+
 let build_node t id =
   let config = t.config in
   (* Classic mode: every node's sim/telemetry alias the cluster's. Under
@@ -62,8 +69,10 @@ let build_node t id =
       Srp.Srp.on_deliver =
         (fun m ->
           if t.deliver_hooks <> [] then
-            Telemetry.defer ntl (fun () ->
-                List.iter (fun h -> h id m) t.deliver_hooks));
+            if Telemetry.buffering ntl then
+              Telemetry.defer ntl (fun () ->
+                  call_deliver_hooks id m t.deliver_hooks)
+            else call_deliver_hooks id m t.deliver_hooks);
       on_ring_change =
         (fun ~ring_id ~members ->
           if t.ring_hooks <> [] then
@@ -192,6 +201,7 @@ let create config =
       trace = telemetry;
       nodes = [||];
       deliver_hooks = [];
+      submit_hooks = [];
       report_hooks = [];
       ring_hooks = [];
       reports = [];
@@ -256,11 +266,10 @@ let create config =
     Exchange.add_barrier_hook exchange
       ~next:(fun () -> Totem_net.Fabric.outbox_next fabric)
       (fun _h1 -> Totem_net.Fabric.flush_outboxes fabric);
+    let set_clock = Sim.unsafe_set_clock sim in
     Exchange.add_barrier_hook exchange
       ~next:(fun () -> Telemetry.buffered_next telemetry ~children:node_tele)
-      (fun _h1 ->
-        Telemetry.drain telemetry ~children:node_tele
-          ~set_clock:(Sim.unsafe_set_clock sim));
+      (fun _h1 -> Telemetry.drain telemetry ~children:node_tele ~set_clock);
     let g name read =
       Telemetry.gauge telemetry ("exchange." ^ name) (fun () -> read ())
     in
@@ -340,6 +349,21 @@ let crash_node t id = Srp.Srp.crash t.nodes.(id).srp
 let recover_node t id = Srp.Srp.recover t.nodes.(id).srp
 
 let on_deliver t h = t.deliver_hooks <- t.deliver_hooks @ [ h ]
+let on_submit t h = t.submit_hooks <- t.submit_hooks @ [ h ]
+
+(* Submission hooks run like the deliver hooks: deferred through the
+   node's hub, so under the parallel core they fire at the barrier in
+   canonical order — before any delivery of the same message, which
+   can only happen later in virtual time. *)
+let submit t ~node ~size ?data () =
+  let srp = t.nodes.(node).srp in
+  Srp.Srp.submit srp ~size ?data ();
+  if t.submit_hooks <> [] then begin
+    let tid = Causal.tid_of ~origin:node ~app_seq:(Srp.Srp.last_app_seq srp) in
+    let sent = Sim.now t.node_sims.(node) in
+    Telemetry.defer t.node_tele.(node) (fun () ->
+        List.iter (fun h -> h node ~tid sent) t.submit_hooks)
+  end
 let on_fault_report t h = t.report_hooks <- t.report_hooks @ [ h ]
 let on_ring_change t h = t.ring_hooks <- t.ring_hooks @ [ h ]
 let fault_reports t = t.reports

@@ -91,6 +91,21 @@ val on_deliver :
 (** Called for every agreed delivery at every node (appended to any
     previously installed hook). *)
 
+val submit :
+  t ->
+  node:Totem_net.Addr.node_id ->
+  size:int ->
+  ?data:Totem_srp.Message.data ->
+  unit ->
+  unit
+(** {!Totem_srp.Srp.submit} at [node], then the {!on_submit} hooks. *)
+
+val on_submit :
+  t -> (Totem_net.Addr.node_id -> tid:int -> Totem_engine.Vtime.t -> unit) -> unit
+(** Called for every message submitted through {!submit}, with its
+    origin, causal tid ({!Totem_engine.Causal.tid_of}) and submission
+    time. Deferred like {!on_deliver} hooks under the parallel core. *)
+
 val on_fault_report :
   t -> (Totem_net.Addr.node_id -> Totem_rrp.Fault_report.t -> unit) -> unit
 

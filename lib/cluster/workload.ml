@@ -31,8 +31,7 @@ let saturate_mixed t ~sizes =
 
 let submit_stamped t ~node ~size =
   let sim = Cluster.node_sim t node in
-  Srp.Srp.submit (Cluster.srp (Cluster.node t node)) ~size
-    ~data:(Stamped (Sim.now sim)) ()
+  Cluster.submit t ~node ~size ~data:(Stamped (Sim.now sim)) ()
 
 (* Pacing generators schedule on the target node's partition: the tick
    and the submit it performs are node-local work, so the parallel core

@@ -5,7 +5,9 @@ type 'a entry = {
   mutable dead : bool;
 }
 
-type handle = H : 'a entry -> handle
+(* Unboxed: a handle is the entry pointer itself, so [push] allocates
+   the entry and nothing else. *)
+type handle = H : 'a entry -> handle [@@unboxed]
 
 type 'a t = {
   mutable heap : 'a entry array;
@@ -158,16 +160,29 @@ let rec pop t =
       Some (root.time, root.value)
     end
 
-let rec peek_key t =
-  if t.size = 0 then None
-  else if t.heap.(0).dead then begin
+let rec prune t =
+  if t.size > 0 && t.heap.(0).dead then begin
     ignore (pop_root t);
-    peek_key t
+    prune t
   end
-  else Some (t.heap.(0).time, t.heap.(0).tie)
+
+let peek_key t =
+  prune t;
+  if t.size = 0 then None else Some (t.heap.(0).time, t.heap.(0).tie)
 
 let peek_time t = Option.map fst (peek_key t)
 
 (* Allocation-free variant for the exchange's per-window scans: one
    flat load of the mirrored root time (see [root_time]), no option. *)
 let[@inline] peek_time_raw t = t.root_time
+
+(* The allocation-free pop path of the simulator's drain loops: after
+   [prune] the root is live, so [root_time] is exact and [top_tie] /
+   [take] read and remove it without building an option or a tuple. *)
+let[@inline] top_tie t = t.heap.(0).tie
+
+let take t =
+  let root = pop_root t in
+  root.dead <- true;
+  t.live <- t.live - 1;
+  root.value

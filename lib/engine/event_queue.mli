@@ -55,3 +55,23 @@ val peek_key : 'a t -> (Vtime.t * int) option
 val peek_time_raw : 'a t -> Vtime.t
 (** {!peek_time} without the option: [Vtime.never] when empty.
     Allocation-free, for hot per-window scans. *)
+
+(** {1 Allocation-free pop path}
+
+    The simulator's drain loops run once per simulated event, so they
+    avoid the option and tuple of {!peek_key} and {!pop}: prune, compare
+    the flat {!peek_time_raw} and {!top_tie}, then {!take}. *)
+
+val prune : 'a t -> unit
+(** Drops cancelled entries from the top, so that afterwards
+    {!peek_time_raw} is the exact time of the earliest live event (or
+    [Vtime.never] when none is left). *)
+
+val top_tie : 'a t -> int
+(** Tie rank of the top entry. Only meaningful right after {!prune} on
+    a non-empty queue. *)
+
+val take : 'a t -> 'a
+(** Removes the top entry and returns its value. Only valid right after
+    {!prune} on a non-empty queue; its time is the {!peek_time_raw}
+    read before the call. *)

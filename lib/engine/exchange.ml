@@ -137,7 +137,31 @@ type t = {
   ptimes : Vtime.t array; (* scratch: per-partition next-event times *)
   stats : stats;
   mutable pool : pool option; (* lazily spawned; joined by [shutdown] *)
+  (* The adaptive solo window's cap and the poll that shrinks it, built
+     once in [create] so a solo window allocates nothing. *)
+  mutable solo_limit : Vtime.t;
+  mutable poll_cap : unit -> Vtime.t;
 }
+
+(* These run up to three times per window (and once per event inside an
+   adaptive solo window), so both are hand-rolled loops: no fold
+   closures, just the unavoidable indirect call into each hook. *)
+let rec hooks_next_from hooks acc =
+  match hooks with
+  | [] -> acc
+  | (h : hook) :: rest -> hooks_next_from rest (Vtime.min acc (h.next ()))
+
+let hooks_next t = hooks_next_from t.hooks Vtime.never
+
+(* One poll of the adaptive solo window's cap: it shrinks to
+   [s + lookahead] the moment a hook holds work from [s]. *)
+let poll_solo_cap t =
+  let s = hooks_next t in
+  if s <> Vtime.never then begin
+    let c = Vtime.add s t.lookahead in
+    if Vtime.(c < t.solo_limit) then t.solo_limit <- c
+  end;
+  t.solo_limit
 
 let create ?(domains = 1) ?(batching = false) ?(max_horizon_factor = 8)
     ~lookahead ~global ~parts () =
@@ -146,28 +170,34 @@ let create ?(domains = 1) ?(batching = false) ?(max_horizon_factor = 8)
   if domains < 1 then invalid_arg "Exchange.create: domains must be >= 1";
   if max_horizon_factor < 1 then
     invalid_arg "Exchange.create: max_horizon_factor must be >= 1";
-  {
-    global;
-    parts;
-    lookahead;
-    domains;
-    batching;
-    max_horizon_factor;
-    horizon = Vtime.zero;
-    hooks = [];
-    (* [global] is a placeholder; slots [0 .. count-1] are overwritten
-       before every window and never read past [count]. *)
-    work = Array.make (Array.length parts) global;
-    ptimes = Array.make (Array.length parts) Vtime.never;
-    stats =
-      {
-        windows_run = 0;
-        windows_batched = 0;
-        windows_widened = 0;
-        max_window = Vtime.zero;
-      };
-    pool = None;
-  }
+  let t =
+    {
+      global;
+      parts;
+      lookahead;
+      domains;
+      batching;
+      max_horizon_factor;
+      horizon = Vtime.zero;
+      hooks = [];
+      (* [global] is a placeholder; slots [0 .. count-1] are overwritten
+         before every window and never read past [count]. *)
+      work = Array.make (Array.length parts) global;
+      ptimes = Array.make (Array.length parts) Vtime.never;
+      stats =
+        {
+          windows_run = 0;
+          windows_batched = 0;
+          windows_widened = 0;
+          max_window = Vtime.zero;
+        };
+      pool = None;
+      solo_limit = Vtime.never;
+      poll_cap = (fun () -> Vtime.never);
+    }
+  in
+  t.poll_cap <- (fun () -> poll_solo_cap t);
+  t
 
 let horizon t = t.horizon
 let lookahead t = t.lookahead
@@ -345,17 +375,8 @@ let pool_run_window pool work count limit =
    times per simulated second, so the scans are written against the
    allocation-free sentinel peeks ([Sim.next_time_raw], hook [next]
    returning [Vtime.never]): plain int min/max folds, no options, no
-   tuples, no per-window closures outside the solo path. *)
+   tuples, no per-window closures. *)
 
-(* These run up to three times per window (and once per event inside an
-   adaptive solo window), so both are hand-rolled loops: no fold
-   closures, just the unavoidable indirect call into each hook. *)
-let rec hooks_next_from hooks acc =
-  match hooks with
-  | [] -> acc
-  | (h : hook) :: rest -> hooks_next_from rest (Vtime.min acc (h.next ()))
-
-let hooks_next t = hooks_next_from t.hooks Vtime.never
 
 (* Existence-only variant for the barrier's skip decision: short-
    circuits on the first hook with pending work (registration order
@@ -397,17 +418,23 @@ let barrier t h0 h1 =
 
 (* The adaptive solo window's initial cap: with exactly one partition
    active at [h1] (the caller just counted), how far may it run alone?
-   Up to the earliest event of any *other* partition, bounded by
-   [wide_cap]. With a single active partition every other partition's
-   next event is > h1, so the cap is always > h1: no separate
-   eligibility scan is needed — "work-set count = 1" is exactly the
-   old best/second-best test. Reads the window's cached [ptimes]. *)
+   Up to just before the earliest event of any *other* partition,
+   bounded by [wide_cap]. Stopping one nanosecond short matters: events
+   at equal times on different partitions must run in one window, so
+   that their sends reach one barrier and replay in canonical
+   (time, source) order; a cap equal to another partition's next event
+   would flush the soloist's send at that instant a barrier early, ahead
+   of a lower-numbered node's. With a single active partition every
+   other partition's next event is > h1, so the cap is always >= h1: no
+   separate eligibility scan is needed — "work-set count = 1" is
+   exactly the old best/second-best test. Reads the window's cached
+   [ptimes]. *)
 let solo_cap t solo wide_cap =
   let ptimes = t.ptimes in
   let cap = ref wide_cap in
   for i = 0 to Array.length ptimes - 1 do
     let tm = Array.unsafe_get ptimes i in
-    if i <> solo && Vtime.(tm < !cap) then cap := tm
+    if i <> solo && Vtime.(tm - 1 < !cap) then cap := tm - 1
   done;
   !cap
 
@@ -504,16 +531,8 @@ let run_until t limit =
              cap can only shrink to s + lookahead >= h0 + lookahead >=
              h1, so it never drops below the plain window bound. *)
           let p = Array.unsafe_get parts !solo_idx in
-          let cap = ref (solo_cap t !solo_idx wide_cap) in
-          let cap_fn () =
-            let s = hooks_next t in
-            if s <> Vtime.never then begin
-              let c = Vtime.add s t.lookahead in
-              if Vtime.(c < !cap) then cap := c
-            end;
-            !cap
-          in
-          Sim.drain_while p ~cap:cap_fn;
+          t.solo_limit <- solo_cap t !solo_idx wide_cap;
+          Sim.drain_while p ~cap:t.poll_cap;
           (* One final poll: [drain_while] consults the cap before each
              event, so work buffered by the *last* event it ran has not
              shrunk the cap yet. Without this the window would close
@@ -523,7 +542,7 @@ let run_until t limit =
              precede the shrunk cap (they drain in time order, each
              below the cap current at its poll), so the soloist's clock
              never exceeds the recomputed bound. *)
-          let h1s = cap_fn () in
+          let h1s = t.poll_cap () in
           Sim.run_until p h1s;
           if Vtime.(h1s > Vtime.add h0 t.lookahead) then
             t.stats.windows_widened <- t.stats.windows_widened + 1;

@@ -18,9 +18,10 @@ type t = {
   mutable events : int;
 }
 
-type handle =
-  | Heap of Event_queue.handle
-  | Wheel of Timer_wheel.handle
+(* Both handles are the queue entry itself (unboxed), so scheduling
+   allocates the caller's closure and one entry, nothing more. *)
+type handle = Event_queue.handle
+type timer = Timer_wheel.handle
 
 let create () =
   {
@@ -42,7 +43,7 @@ let take_tie t =
 let schedule_at t ~time f =
   if Vtime.(time < t.clock) then
     invalid_arg "Partition.schedule_at: time is in the past";
-  Heap (Event_queue.push_tie t.queue ~time ~tie:(take_tie t) f)
+  Event_queue.push_tie t.queue ~time ~tie:(take_tie t) f
 
 let schedule t ~delay f =
   if delay < 0 then invalid_arg "Partition.schedule: negative delay";
@@ -51,66 +52,81 @@ let schedule t ~delay f =
 let schedule_timer t ~delay f =
   if delay < 0 then invalid_arg "Partition.schedule_timer: negative delay";
   let time = Vtime.add t.clock delay in
-  Wheel (Timer_wheel.push t.wheel ~time ~tie:(take_tie t) f)
+  Timer_wheel.push t.wheel ~time ~tie:(take_tie t) f
 
-let cancel t = function
-  | Heap h -> ignore (Event_queue.cancel t.queue h)
-  | Wheel h -> ignore (Timer_wheel.cancel t.wheel h)
+let cancel t h = ignore (Event_queue.cancel t.queue h)
+let cancel_timer t h = ignore (Timer_wheel.cancel t.wheel h)
 
-(* One combined peek: which structure holds the next event, and when.
-   [`Heap] wins ties below the wheel only by tie rank, preserving the
-   global FIFO order at equal times. *)
-let earliest t =
-  match Event_queue.peek_key t.queue, Timer_wheel.peek_key t.wheel with
-  | None, None -> `Empty
-  | Some (ht, _), None -> `Heap ht
-  | None, Some (wt, _) -> `Wheel wt
-  | Some (ht, htie), Some (wt, wtie) ->
-    if Vtime.(ht < wt) || (ht = wt && htie < wtie) then `Heap ht else `Wheel wt
+(* Which structure holds the next live event. The drain loops run once
+   per simulated event, so they never build the options and tuples of
+   [Event_queue.peek_key]/[pop]: both structures are pruned so their
+   flat time mirrors are exact, the mirrors are compared, and only a
+   time tie consults the tie ranks. [From_heap] wins equal times only by
+   tie rank, preserving the global FIFO order. Constant constructors,
+   so the answer is an immediate. *)
+type source = Nothing | From_heap | From_wheel
 
-let next_event_time t =
-  match earliest t with
-  | `Empty -> None
-  | `Heap time | `Wheel time -> Some time
+let next_source t =
+  Event_queue.prune t.queue;
+  Timer_wheel.settle t.wheel;
+  let heap_empty = Event_queue.is_empty t.queue in
+  if Timer_wheel.is_empty t.wheel then
+    if heap_empty then Nothing else From_heap
+  else if heap_empty then From_wheel
+  else
+    let ht = Event_queue.peek_time_raw t.queue
+    and wt = Timer_wheel.peek_time_raw t.wheel in
+    if
+      Vtime.(ht < wt)
+      || (ht = wt
+         && Event_queue.top_tie t.queue < Timer_wheel.min_tie t.wheel)
+    then From_heap
+    else From_wheel
+
+(* Time of the event [next_source] picked; [Vtime.never] for none. *)
+let[@inline] source_time t = function
+  | Nothing -> Vtime.never
+  | From_heap -> Event_queue.peek_time_raw t.queue
+  | From_wheel -> Timer_wheel.peek_time_raw t.wheel
+
+let fire t src =
+  t.clock <- source_time t src;
+  t.events <- t.events + 1;
+  let f =
+    match src with
+    | From_wheel -> Timer_wheel.take t.wheel
+    | From_heap | Nothing -> Event_queue.take t.queue
+  in
+  f ()
 
 (* Allocation-free peek for the exchange's per-window horizon scan.
    Only the minimum time matters there, never which structure holds it,
-   so the tie arbitration of [earliest] is skipped entirely. *)
+   so the tie arbitration of [next_source] is skipped entirely. *)
 let[@inline] next_time_raw t =
   Vtime.min
     (Event_queue.peek_time_raw t.queue)
     (Timer_wheel.peek_time_raw t.wheel)
 
-let fire t popped =
-  match popped with
-  | None -> false
-  | Some (time, f) ->
-    t.clock <- time;
-    t.events <- t.events + 1;
-    f ();
-    true
-
 let step t =
-  match earliest t with
-  | `Empty -> false
-  | `Heap _ -> fire t (Event_queue.pop t.queue)
-  | `Wheel _ -> fire t (Timer_wheel.pop_min t.wheel)
+  match next_source t with
+  | Nothing -> false
+  | src ->
+    fire t src;
+    true
 
 (* Pop and run every event with timestamp <= limit; the clock follows
    the events and is NOT bumped to [limit] at the end. The exchange
    layer drains the coordinator partition this way so the clock always
    reads the time of the event being executed, never a horizon the
    window has not reached. *)
-let drain_until t limit =
-  let rec loop () =
-    match earliest t with
-    | `Heap time when Vtime.(time <= limit) ->
-      if fire t (Event_queue.pop t.queue) then loop ()
-    | `Wheel time when Vtime.(time <= limit) ->
-      if fire t (Timer_wheel.pop_min t.wheel) then loop ()
-    | `Empty | `Heap _ | `Wheel _ -> ()
-  in
-  loop ()
+let rec drain_until t limit =
+  match next_source t with
+  | Nothing -> ()
+  | src ->
+    if Vtime.(source_time t src <= limit) then begin
+      fire t src;
+      drain_until t limit
+    end
 
 let run_until t limit =
   drain_until t limit;
@@ -123,16 +139,14 @@ let run_until t limit =
    cross-partition work (a frame entering an outbox): re-evaluating the
    cap per pop is what lets the shrink take effect before the next
    event fires. The clock follows the events, as in [drain_until]. *)
-let drain_while t ~cap =
-  let rec loop () =
-    match earliest t with
-    | `Heap time when Vtime.(time <= cap ()) ->
-      if fire t (Event_queue.pop t.queue) then loop ()
-    | `Wheel time when Vtime.(time <= cap ()) ->
-      if fire t (Timer_wheel.pop_min t.wheel) then loop ()
-    | `Empty | `Heap _ | `Wheel _ -> ()
-  in
-  loop ()
+let rec drain_while t ~cap =
+  match next_source t with
+  | Nothing -> ()
+  | src ->
+    if Vtime.(source_time t src <= cap ()) then begin
+      fire t src;
+      drain_while t ~cap
+    end
 
 let run t = while step t do () done
 

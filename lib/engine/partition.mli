@@ -17,6 +17,9 @@ type t
 type handle
 (** A cancellable scheduled event. *)
 
+type timer
+(** A cancellable timer-wheel event. *)
+
 val create : unit -> t
 (** A fresh partition at time zero with an empty queue. *)
 
@@ -30,12 +33,15 @@ val schedule_at : t -> time:Vtime.t -> (unit -> unit) -> handle
 (** [schedule_at t ~time f] runs [f] at absolute [time].
     @raise Invalid_argument if [time < now t]. *)
 
-val schedule_timer : t -> delay:Vtime.t -> (unit -> unit) -> handle
+val schedule_timer : t -> delay:Vtime.t -> (unit -> unit) -> timer
 (** Like {!schedule} but lands in the timer wheel; firing order between
     wheel and heap is the global [(time, scheduling order)]. *)
 
 val cancel : t -> handle -> unit
 (** Cancels the event; no-op if it already fired or was cancelled. *)
+
+val cancel_timer : t -> timer -> unit
+(** {!cancel} for a {!schedule_timer} event. *)
 
 val run_until : t -> Vtime.t -> unit
 (** Processes every event with timestamp [<= limit], then sets the
@@ -60,15 +66,11 @@ val run : t -> unit
 val step : t -> bool
 (** Processes exactly one event; [false] if the queue was empty. *)
 
-val next_event_time : t -> Vtime.t option
-(** Timestamp of the earliest pending event, if any. The conservative
-    window computation ([Exchange.run_until]) takes the minimum of this
-    across all partitions. *)
-
 val next_time_raw : t -> Vtime.t
-(** {!next_event_time} without the option: [Vtime.never] when empty.
-    Allocation-free; the exchange folds this across every partition
-    once per window. *)
+(** Earliest pending event time, [Vtime.never] when none; may read
+    early (never late) while a cancelled event still sits at the top of
+    a queue. Allocation-free; the exchange folds this across every
+    partition once per window. *)
 
 val pending : t -> int
 (** Number of scheduled, not-yet-fired events (timers included). *)

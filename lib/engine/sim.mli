@@ -19,6 +19,9 @@ type t
 type handle
 (** A cancellable scheduled event. *)
 
+type timer
+(** A cancellable timer, from {!schedule_timer}. *)
+
 val create : ?seed:int -> unit -> t
 (** [create ~seed ()] is a fresh simulator at time zero. Default seed
     is 42. *)
@@ -40,7 +43,7 @@ val schedule_at : t -> time:Vtime.t -> (unit -> unit) -> handle
 (** [schedule_at t ~time f] runs [f] at absolute [time].
     @raise Invalid_argument if [time < now t]. *)
 
-val schedule_timer : t -> delay:Vtime.t -> (unit -> unit) -> handle
+val schedule_timer : t -> delay:Vtime.t -> (unit -> unit) -> timer
 (** Like {!schedule}, but intended for cancel/re-arm protocol timers:
     the event lands in a {!Timer_wheel} instead of the main heap, so
     timer churn never inflates the heap the hot one-shot events (frame
@@ -51,6 +54,9 @@ val schedule_timer : t -> delay:Vtime.t -> (unit -> unit) -> handle
 
 val cancel : t -> handle -> unit
 (** Cancels the event; no-op if it already fired or was cancelled. *)
+
+val cancel_timer : t -> timer -> unit
+(** {!cancel} for a timer. *)
 
 val run_until : t -> Vtime.t -> unit
 (** Processes every event with timestamp [<= limit], then sets the clock
@@ -76,13 +82,11 @@ val events_processed : t -> int
     Used by {!Exchange} to drive per-node partitions under conservative
     lookahead. Model code has no business calling these. *)
 
-val next_event_time : t -> Vtime.t option
-(** Timestamp of the earliest pending event, if any. *)
-
 val next_time_raw : t -> Vtime.t
-(** {!next_event_time} without the option: [Vtime.never] when empty.
-    Allocation-free; the exchange folds this across every partition
-    once per window. *)
+(** Earliest pending event time, [Vtime.never] when none; may read
+    early (never late) while a cancelled event still sits at the top of
+    a queue. Allocation-free; the exchange folds this across every
+    partition once per window. *)
 
 val drain_until : t -> Vtime.t -> unit
 (** Processes every event with timestamp [<= limit] but leaves the

@@ -192,6 +192,7 @@ let set_buffering t b =
   if (not b) && t.blen > 0 then
     invalid_arg "Telemetry.set_buffering: undrained buffer"
 
+let buffering t = t.buffering
 let sim t = t.sim
 let set_tracing t b = t.tracing <- b
 let tracing t = t.tracing

@@ -183,6 +183,10 @@ val set_buffering : t -> bool -> unit
     always buffering.
     @raise Invalid_argument when disabling with a non-empty buffer. *)
 
+val buffering : t -> bool
+(** Whether emissions and {!defer}red thunks queue instead of running
+    now. Lets a hot caller skip building a thunk it would run at once. *)
+
 val defer : t -> (unit -> unit) -> unit
 (** [defer t f] runs [f] now on a non-buffering hub; on a buffering hub
     it queues [f] as a (time, source, seq) entry sharing the emission

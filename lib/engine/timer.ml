@@ -1,35 +1,39 @@
 type t = {
   sim : Sim.t;
   name : string;
-  callback : unit -> unit;
-  mutable armed : (Sim.handle * Vtime.t) option;
+  (* The event handed to the simulator on every [start]: built once, so
+     a re-arm allocates only the queue entry and its bookkeeping. *)
+  mutable fire : unit -> unit;
+  mutable handle : Sim.timer option;
+  mutable at : Vtime.t;
 }
 
-let create sim ~name ~callback = { sim; name; callback; armed = None }
+let create sim ~name ~callback =
+  let t = { sim; name; fire = ignore; handle = None; at = Vtime.zero } in
+  t.fire <-
+    (fun () ->
+      t.handle <- None;
+      callback ());
+  t
 
-let is_running t = match t.armed with Some _ -> true | None -> false
+let is_running t = Option.is_some t.handle
 
-let fires_at t = Option.map snd t.armed
-
-let fire t () =
-  t.armed <- None;
-  t.callback ()
+let fires_at t = if is_running t then Some t.at else None
 
 let start t delay =
   if is_running t then
     invalid_arg (Printf.sprintf "Timer.start: %s already running" t.name);
-  let time = Vtime.add (Sim.now t.sim) delay in
-  let handle = Sim.schedule_timer t.sim ~delay (fire t) in
-  t.armed <- Some (handle, time)
+  t.at <- Vtime.add (Sim.now t.sim) delay;
+  t.handle <- Some (Sim.schedule_timer t.sim ~delay t.fire)
 
 let start_if_stopped t delay = if not (is_running t) then start t delay
 
 let stop t =
-  match t.armed with
+  match t.handle with
   | None -> ()
-  | Some (handle, _) ->
-    Sim.cancel t.sim handle;
-    t.armed <- None
+  | Some handle ->
+    Sim.cancel_timer t.sim handle;
+    t.handle <- None
 
 let restart t delay =
   stop t;

@@ -5,25 +5,38 @@ type 'a entry = {
   mutable dead : bool;
 }
 
-type handle = H : 'a entry -> handle
+(* Unboxed: a handle is the entry pointer itself, so [push] allocates
+   the entry and nothing else. *)
+type handle = H : 'a entry -> handle [@@unboxed]
+
+(* A bucket is a growable array of entries in no particular order:
+   removing one moves the last entry into its slot, so neither popping
+   nor sweeping allocates. Slots at or above [n] may still point at
+   removed entries until they are overwritten. *)
+type 'a bucket = {
+  mutable items : 'a entry array;
+  mutable n : int;
+}
 
 type 'a t = {
-  buckets : 'a entry list array;
+  buckets : 'a bucket array;
   mask : int;
   shift : int;
   mutable live : int;
   mutable dead_count : int;
-  (* The earliest live entry, or [None] when unknown (empty, or the
-     cached minimum was popped/cancelled). Recomputed lazily by a full
-     bucket scan; the wheel holds tens of timers, so the scan is cheap
-     and rare relative to push/cancel traffic. *)
-  mutable cached_min : 'a entry option;
+  (* Where the earliest live entry sits ([buckets.(min_b).items.(min_i)]),
+     or [min_b = -1] when unknown (empty, or the cached minimum was
+     popped/cancelled, or a sweep moved entries). Recomputed lazily by a
+     full bucket scan; the wheel holds tens of timers, so the scan is
+     cheap and rare relative to push/cancel traffic. *)
+  mutable min_b : int;
+  mutable min_i : int;
   (* Flat lower bound on the earliest live time ([Vtime.never] when
-     empty): exact while [cached_min] is valid, and never above the
-     true minimum while it is not (a popped or cancelled minimum leaves
-     its own — earlier — time behind until [min_entry] recomputes). The
-     exchange's per-window scans read this as one load and tolerate the
-     conservative staleness. *)
+     empty): exact while the cached location is valid, and never above
+     the true minimum while it is not (a popped or cancelled minimum
+     leaves its own — earlier — time behind until [settle] recomputes).
+     The exchange's per-window scans read this as one load and tolerate
+     the conservative staleness. *)
   mutable min_time : Vtime.t;
 }
 
@@ -34,12 +47,13 @@ let create ?(shift = default_shift) ?(buckets = default_buckets) () =
   if buckets <= 0 || buckets land (buckets - 1) <> 0 then
     invalid_arg "Timer_wheel.create: buckets must be a positive power of two";
   {
-    buckets = Array.make buckets [];
+    buckets = Array.init buckets (fun _ -> { items = [||]; n = 0 });
     mask = buckets - 1;
     shift;
     live = 0;
     dead_count = 0;
-    cached_min = None;
+    min_b = -1;
+    min_i = 0;
     min_time = Vtime.never;
   }
 
@@ -51,30 +65,47 @@ let bucket_of t time = (time lsr t.shift) land t.mask
 let precedes a b =
   a.time < b.time || (a.time = b.time && a.tie < b.tie)
 
+let[@inline] cached t = t.buckets.(t.min_b).items.(t.min_i)
+
 (* Physically drop dead entries once they outnumber the live ones, so
-   cancel churn cannot grow the buckets without bound. *)
+   cancel churn cannot grow the buckets without bound. Entries move, so
+   the cached location is dropped; [min_time] stays a valid bound. *)
 let sweep t =
-  for i = 0 to t.mask do
-    t.buckets.(i) <- List.filter (fun e -> not e.dead) t.buckets.(i)
+  for b = 0 to t.mask do
+    let bk = t.buckets.(b) in
+    let j = ref 0 in
+    for i = 0 to bk.n - 1 do
+      let e = bk.items.(i) in
+      if not e.dead then begin
+        bk.items.(!j) <- e;
+        incr j
+      end
+    done;
+    bk.n <- !j
   done;
-  t.dead_count <- 0
+  t.dead_count <- 0;
+  t.min_b <- -1
 
 let push t ~time ~tie value =
   let entry = { time; tie; value; dead = false } in
   let b = bucket_of t time in
-  t.buckets.(b) <- entry :: t.buckets.(b);
+  let bk = t.buckets.(b) in
+  if bk.n = Array.length bk.items then begin
+    let items = Array.make (max 4 (2 * bk.n)) entry in
+    Array.blit bk.items 0 items 0 bk.n;
+    bk.items <- items
+  end;
+  let i = bk.n in
+  bk.items.(i) <- entry;
+  bk.n <- i + 1;
   t.live <- t.live + 1;
-  (match t.cached_min with
-  | Some m when precedes m entry -> ()
-  | Some _ ->
-    t.cached_min <- Some entry;
+  if (t.min_b >= 0 && precedes entry (cached t)) || (t.min_b < 0 && t.live = 1)
+  then begin
+    t.min_b <- b;
+    t.min_i <- i;
     t.min_time <- time
-  | None ->
-    if t.live = 1 then begin
-      t.cached_min <- Some entry;
-      t.min_time <- time
-    end
-    else if Vtime.(time < t.min_time) then t.min_time <- time);
+  end
+  else if t.min_b < 0 && Vtime.(time < t.min_time) then t.min_time <- time;
   H entry
 
 let cancel t (H entry) =
@@ -83,58 +114,65 @@ let cancel t (H entry) =
     entry.dead <- true;
     t.live <- t.live - 1;
     t.dead_count <- t.dead_count + 1;
-    (match t.cached_min with
-    | Some m when m.time = entry.time && m.tie = entry.tie ->
-      t.cached_min <- None
-    | _ -> ());
+    (if t.min_b >= 0 then
+       let m = cached t in
+       if m.time = entry.time && m.tie = entry.tie then t.min_b <- -1);
     if t.dead_count > t.live && t.dead_count > 32 then sweep t;
     true
   end
 
-let min_entry t =
-  match t.cached_min with
-  | Some m when not m.dead -> Some m
-  | _ ->
-    if t.live = 0 then begin
-      t.min_time <- Vtime.never;
-      None
-    end
+(* Make the cached location valid (when any timer is live) and
+   [min_time] exact. Allocation-free: the scan's accumulators are local
+   refs the compiler keeps in registers. *)
+let settle t =
+  if t.min_b < 0 then
+    if t.live = 0 then t.min_time <- Vtime.never
     else begin
-      let best = ref None in
-      for i = 0 to t.mask do
-        List.iter
-          (fun e ->
-            if not e.dead then
-              match !best with
-              | Some b when precedes b e -> ()
-              | _ -> best := Some e)
-          t.buckets.(i)
+      let bb = ref (-1) and bi = ref 0 in
+      let bt = ref Vtime.never and btie = ref max_int in
+      for b = 0 to t.mask do
+        let bk = t.buckets.(b) in
+        for i = 0 to bk.n - 1 do
+          let e = bk.items.(i) in
+          if (not e.dead) && (e.time < !bt || (e.time = !bt && e.tie < !btie))
+          then begin
+            bb := b;
+            bi := i;
+            bt := e.time;
+            btie := e.tie
+          end
+        done
       done;
-      t.cached_min <- !best;
-      t.min_time <- (match !best with None -> Vtime.never | Some e -> e.time);
-      !best
+      t.min_b <- !bb;
+      t.min_i <- !bi;
+      t.min_time <- !bt
     end
 
+let[@inline] min_tie t = (cached t).tie
+
+let take t =
+  let bk = t.buckets.(t.min_b) in
+  let e = bk.items.(t.min_i) in
+  let last = bk.n - 1 in
+  bk.items.(t.min_i) <- bk.items.(last);
+  bk.n <- last;
+  e.dead <- true;
+  t.live <- t.live - 1;
+  t.min_b <- -1;
+  e.value
+
 let peek_key t =
-  match min_entry t with
-  | None -> None
-  | Some e -> Some (e.time, e.tie)
+  settle t;
+  if t.live = 0 then None else Some (t.min_time, min_tie t)
 
 let peek_time t = Option.map fst (peek_key t)
 
-(* Allocation-free peek: on the cached-hit path (the overwhelmingly
-   common one between structural changes) this reads a field and
-   returns an int. *)
 (* One flat load: see [min_time]. *)
 let[@inline] peek_time_raw t = t.min_time
 
 let pop_min t =
-  match min_entry t with
-  | None -> None
-  | Some e ->
-    let b = bucket_of t e.time in
-    t.buckets.(b) <- List.filter (fun x -> x != e) t.buckets.(b);
-    e.dead <- true;
-    t.live <- t.live - 1;
-    t.cached_min <- None;
-    Some (e.time, e.value)
+  settle t;
+  if t.live = 0 then None
+  else
+    let time = t.min_time in
+    Some (time, take t)

@@ -49,3 +49,22 @@ val peek_time_raw : 'a t -> Vtime.t
 
 val pop_min : 'a t -> (Vtime.t * 'a) option
 (** Removes and returns the earliest live timer. *)
+
+(** {1 Allocation-free pop path}
+
+    As in {!Event_queue}: the simulator's drain loops {!settle}, compare
+    the flat {!peek_time_raw} and {!min_tie}, then {!take}, building no
+    option or tuple per timer. *)
+
+val settle : 'a t -> unit
+(** Locates the earliest live timer (a bucket scan only when the cached
+    minimum was popped or cancelled), so that afterwards
+    {!peek_time_raw} is exact ([Vtime.never] when empty). *)
+
+val min_tie : 'a t -> int
+(** Tie rank of the earliest live timer. Only meaningful right after
+    {!settle} on a non-empty wheel. *)
+
+val take : 'a t -> 'a
+(** Removes the earliest live timer and returns its value. Only valid
+    right after {!settle} on a non-empty wheel. *)

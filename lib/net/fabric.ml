@@ -62,7 +62,7 @@ let outbox_push ob ~time ~net ~dst frame =
   end;
   ob.times.(i) <- time;
   ob.nets.(i) <- net;
-  ob.dsts.(i) <- (match dst with None -> -1 | Some d -> d);
+  ob.dsts.(i) <- dst;
   ob.frames.(i) <- frame;
   ob.len <- i + 1
 
@@ -244,12 +244,12 @@ let enqueue t sims ~net ~dst frame =
 let broadcast t ~net frame =
   match t.partitions with
   | None -> Network.broadcast t.networks.(net) (outgoing t frame)
-  | Some sims -> enqueue t sims ~net ~dst:None frame
+  | Some sims -> enqueue t sims ~net ~dst:(-1) frame
 
 let unicast t ~net ~dst frame =
   match t.partitions with
   | None -> Network.unicast t.networks.(net) ~dst (outgoing t frame)
-  | Some sims -> enqueue t sims ~net ~dst:(Some dst) frame
+  | Some sims -> enqueue t sims ~net ~dst frame
 
 (* Earliest buffered send, so the exchange's idle-jump cannot leap over
    work created outside a window (e.g. the bootstrap token at t=0), and

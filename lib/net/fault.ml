@@ -182,6 +182,8 @@ let delay_factor t = t.delay_factor
 
 let delay_spike t = (t.spike_prob, t.spike_ns)
 
+let spike_enabled t = t.spike_prob > 0.0 && t.spike_ns > 0
+
 let set_duplicate t p =
   let p = clamp01 p in
   if t.dup_prob <> p then notify t (Printf.sprintf "duplicate %.3g" p);

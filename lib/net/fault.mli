@@ -125,6 +125,11 @@ val delay_factor : t -> float
 val delay_spike : t -> float * int
 (** Current [(spike_prob, spike_ns)]. *)
 
+val spike_enabled : t -> bool
+(** Whether {!delay_spike} can fire (both probability and size
+    positive): the per-frame guard, so a spike-free network reads no
+    pair. *)
+
 val set_duplicate : t -> float -> unit
 (** Probability that a delivered frame arrives twice (the copy lands
     immediately after the original; SRP's duplicate detection absorbs

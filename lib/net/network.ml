@@ -146,6 +146,108 @@ let corrupt_frame t frame =
   | Some payload -> Some { frame with Frame.payload }
   | None -> None
 
+let emit_loss t frame counter =
+  Stats.Counter.incr counter;
+  match t.telemetry with
+  | Some tl when Telemetry.active tl ->
+    Telemetry.emit tl
+      (Telemetry.Frame_loss { net = t.net_id; src = frame.Frame.src })
+  | _ -> ()
+
+(* Target the receiver's own simulator: under the parallel core each
+   NIC schedules on its node's partition, and the lookahead guarantee
+   (arrival >= send + latency >= next barrier) makes this landing always
+   in that partition's future. Single-domain mode is unchanged — every
+   NIC shares the network's sim. *)
+let deliver_at nic frame time =
+  ignore (Sim.schedule_at (Nic.sim nic) ~time (fun () -> Nic.deliver nic frame))
+
+(* The frame survived the fault checks and the corruption draw: the
+   gray-failure processes, every draw guarded by its enabled predicate
+   so a gray-free network consumes no randomness at all — existing
+   seeds and every sim_domains replay bit-for-bit. Draw order is fixed:
+   per-direction loss, one Gilbert–Elliott chain step, delay spike,
+   duplicate, reorder, then the historical jitter draw. Top-level
+   functions rather than local closures keep the per-frame path free of
+   allocation beyond the delivery event itself. *)
+let transmit t nic frame ~dst ~wire_done =
+  let dir_p = Fault.dir_loss_probability t.fault ~src:frame.Frame.src ~dst in
+  if dir_p > 0.0 && Rng.bernoulli t.rng dir_p then emit_loss t frame t.dir_lost
+  else begin
+    let bursty =
+      Fault.burst_enabled t.fault
+      && begin
+           (* One chain step per delivery attempt: bursts correlate
+              consecutive deliveries on this network. *)
+           let p_enter, p_exit = Fault.burst_loss t.fault in
+           let bad =
+             if Fault.in_burst t.fault then not (Rng.bernoulli t.rng p_exit)
+             else Rng.bernoulli t.rng p_enter
+           in
+           Fault.set_in_burst t.fault bad;
+           bad
+         end
+    in
+    if bursty then emit_loss t frame t.burst_lost
+    else begin
+      (* Latency inflation: the multiplicative factor is deterministic;
+         the spike draws. Both only add delay, so the lookahead bound
+         (arrival >= send + latency) holds. *)
+      let extra =
+        let f = Fault.delay_factor t.fault in
+        if f > 1.0 then
+          Vtime.ns (int_of_float ((f -. 1.0) *. float_of_int t.config.latency))
+        else Vtime.zero
+      in
+      let extra =
+        if Fault.spike_enabled t.fault then begin
+          let spike_p, spike_ns = Fault.delay_spike t.fault in
+          if Rng.bernoulli t.rng spike_p then begin
+            Stats.Counter.incr t.delay_spiked;
+            Vtime.add extra (Vtime.ns (1 + Rng.int t.rng spike_ns))
+          end
+          else extra
+        end
+        else extra
+      in
+      let dup =
+        let p = Fault.duplicate_probability t.fault in
+        p > 0.0 && Rng.bernoulli t.rng p
+      in
+      let reorder_extra =
+        let p = Fault.reorder_probability t.fault in
+        if p > 0.0 && Rng.bernoulli t.rng p then begin
+          Stats.Counter.incr t.reordered;
+          (* held back far enough for later frames to overtake *)
+          Vtime.ns (1 + Rng.int t.rng (4 * t.config.latency))
+        end
+        else Vtime.zero
+      in
+      let jitter =
+        if t.config.jitter = Vtime.zero then Vtime.zero
+        else Vtime.ns (Rng.int t.rng (t.config.jitter + 1))
+      in
+      let arrival =
+        Vtime.add (Vtime.add (Vtime.add wire_done t.config.latency) extra) jitter
+      in
+      (* Per-receiver FIFO on a single network (Sec. 5 assumption). *)
+      let arrival =
+        Vtime.max arrival (Vtime.add (Nic.last_arrival nic) (Vtime.ns 1))
+      in
+      Nic.note_arrival nic arrival;
+      (* A reordered frame is held back past its FIFO slot — the slot
+         itself stays the un-inflated arrival, so later frames clamp
+         against it and can overtake. *)
+      deliver_at nic frame (Vtime.add arrival reorder_extra);
+      if dup then begin
+        Stats.Counter.incr t.duplicated;
+        let copy_at = Vtime.add arrival (Vtime.ns 1) in
+        Nic.note_arrival nic copy_at;
+        deliver_at nic frame copy_at
+      end
+    end
+  end
+
 let deliver_to t nic frame ~wire_done =
   let dst = Nic.node nic in
   if not (Fault.delivers t.fault ~src:frame.Frame.src ~dst) then begin
@@ -173,116 +275,12 @@ let deliver_to t nic frame ~wire_done =
     (* Corruption draw, guarded like loss so corruption-free networks
        consume no extra randomness (the RNG stream — and therefore every
        jitter draw downstream — is unchanged when the model is off). *)
-    let frame =
-      let p = Fault.corruption_probability t.fault in
-      if p > 0.0 && Rng.bernoulli t.rng p then corrupt_frame t frame
-      else Some frame
-    in
-    match frame with
-    | None -> () (* reference-passing payload: corruption surfaced as loss *)
-    | Some frame ->
-      let emit_loss counter =
-        Stats.Counter.incr counter;
-        match t.telemetry with
-        | Some tl when Telemetry.active tl ->
-          Telemetry.emit tl
-            (Telemetry.Frame_loss { net = t.net_id; src = frame.Frame.src })
-        | _ -> ()
-      in
-      (* Gray-failure processes, every draw guarded by its enabled
-         predicate so a gray-free network consumes no randomness at all
-         — existing seeds and every sim_domains replay bit-for-bit.
-         Draw order is fixed: per-direction loss, one Gilbert–Elliott
-         chain step, delay spike, duplicate, reorder, then the
-         historical jitter draw. *)
-      let dir_p =
-        Fault.dir_loss_probability t.fault ~src:frame.Frame.src ~dst
-      in
-      if dir_p > 0.0 && Rng.bernoulli t.rng dir_p then emit_loss t.dir_lost
-      else begin
-        let bursty =
-          Fault.burst_enabled t.fault
-          && begin
-               (* One chain step per delivery attempt: bursts correlate
-                  consecutive deliveries on this network. *)
-               let p_enter, p_exit = Fault.burst_loss t.fault in
-               let bad =
-                 if Fault.in_burst t.fault then
-                   not (Rng.bernoulli t.rng p_exit)
-                 else Rng.bernoulli t.rng p_enter
-               in
-               Fault.set_in_burst t.fault bad;
-               bad
-             end
-        in
-        if bursty then emit_loss t.burst_lost
-        else begin
-          (* Latency inflation: the multiplicative factor is
-             deterministic; the spike draws. Both only add delay, so
-             the lookahead bound (arrival >= send + latency) holds. *)
-          let extra =
-            let f = Fault.delay_factor t.fault in
-            if f > 1.0 then
-              Vtime.ns (int_of_float ((f -. 1.0) *. float_of_int t.config.latency))
-            else Vtime.zero
-          in
-          let extra =
-            let spike_p, spike_ns = Fault.delay_spike t.fault in
-            if spike_p > 0.0 && spike_ns > 0 && Rng.bernoulli t.rng spike_p
-            then begin
-              Stats.Counter.incr t.delay_spiked;
-              Vtime.add extra (Vtime.ns (1 + Rng.int t.rng spike_ns))
-            end
-            else extra
-          in
-          let dup =
-            let p = Fault.duplicate_probability t.fault in
-            p > 0.0 && Rng.bernoulli t.rng p
-          in
-          let reorder_extra =
-            let p = Fault.reorder_probability t.fault in
-            if p > 0.0 && Rng.bernoulli t.rng p then begin
-              Stats.Counter.incr t.reordered;
-              (* held back far enough for later frames to overtake *)
-              Vtime.ns (1 + Rng.int t.rng (4 * t.config.latency))
-            end
-            else Vtime.zero
-          in
-          let jitter =
-            if t.config.jitter = Vtime.zero then Vtime.zero
-            else Vtime.ns (Rng.int t.rng (t.config.jitter + 1))
-          in
-          let arrival =
-            Vtime.add (Vtime.add (Vtime.add wire_done t.config.latency) extra)
-              jitter
-          in
-          (* Per-receiver FIFO on a single network (Sec. 5 assumption). *)
-          let arrival =
-            Vtime.max arrival (Vtime.add (Nic.last_arrival nic) (Vtime.ns 1))
-          in
-          Nic.note_arrival nic arrival;
-          (* Target the receiver's own simulator: under the parallel core
-             each NIC schedules on its node's partition, and the lookahead
-             guarantee (arrival >= send + latency >= next barrier) makes
-             this landing always in that partition's future. Single-domain
-             mode is unchanged — every NIC shares the network's sim. *)
-          let deliver_at time =
-            ignore
-              (Sim.schedule_at (Nic.sim nic) ~time (fun () ->
-                   Nic.deliver nic frame))
-          in
-          (* A reordered frame is held back past its FIFO slot — the
-             slot itself stays the un-inflated arrival, so later frames
-             clamp against it and can overtake. *)
-          deliver_at (Vtime.add arrival reorder_extra);
-          if dup then begin
-            Stats.Counter.incr t.duplicated;
-            let copy_at = Vtime.add arrival (Vtime.ns 1) in
-            Nic.note_arrival nic copy_at;
-            deliver_at copy_at
-          end
-        end
-      end
+    let p = Fault.corruption_probability t.fault in
+    if p > 0.0 && Rng.bernoulli t.rng p then
+      match corrupt_frame t frame with
+      | None -> () (* reference-passing payload: corruption surfaced as loss *)
+      | Some frame -> transmit t nic frame ~dst ~wire_done
+    else transmit t nic frame ~dst ~wire_done
   end
 
 let medium_accepts t frame =

@@ -73,10 +73,13 @@ let faulty_snapshot b = Array.copy b.faulty
 let non_faulty_count b =
   Array.fold_left (fun acc f -> if f then acc else acc + 1) 0 b.faulty
 
+(* String trace lines; inactive, no component string is built and
+   nothing is formatted. *)
 let emit b fmt =
   match b.trace with
-  | Some tr -> Trace.emitf tr ~component:(Printf.sprintf "rrp%d" b.node) fmt
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+  | Some tr when Telemetry.active tr ->
+    Trace.emitf tr ~component:(Printf.sprintf "rrp%d" b.node) fmt
+  | _ -> Format.ikfprintf ignore Format.str_formatter fmt
 
 let telemetry b = b.trace
 
@@ -191,24 +194,24 @@ let clear_fault b ~net =
    IS the rotation count. *)
 let note_rotation b =
   if b.config.Rrp_config.reinstate then
-    Array.iteri
-      (fun net ps ->
-        if ps.probation then
-          if b.net_clean net then begin
-            ps.clean <- ps.clean + 1;
-            if ps.clean >= b.config.Rrp_config.reinstate_clean_rotations
-            then begin
-              ps.probation <- false;
-              if tel_active b then
-                tel_emit b
-                  (Telemetry.Net_reinstated
-                     { node = b.node; net; rotations = ps.clean });
-              emit b "%a reinstated after %d clean rotations"
-                Totem_net.Addr.pp_net net ps.clean
-            end
+    for net = 0 to Array.length b.pstates - 1 do
+      let ps = b.pstates.(net) in
+      if ps.probation then
+        if b.net_clean net then begin
+          ps.clean <- ps.clean + 1;
+          if ps.clean >= b.config.Rrp_config.reinstate_clean_rotations
+          then begin
+            ps.probation <- false;
+            if tel_active b then
+              tel_emit b
+                (Telemetry.Net_reinstated
+                   { node = b.node; net; rotations = ps.clean });
+            emit b "%a reinstated after %d clean rotations"
+              Totem_net.Addr.pp_net net ps.clean
           end
-          else ps.clean <- 0)
-      b.pstates
+        end
+        else ps.clean <- 0
+    done
 
 (* A condemned network that carries protocol traffic again is evidence
    that some peer has put it on probation and resumed sending on it.

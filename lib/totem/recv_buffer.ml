@@ -92,14 +92,12 @@ let missing_up_to t seq =
   in
   gaps (t.aru + 1) []
 
+let has_deliverable t = t.delivered < t.aru
+
 let pop_deliverable t =
-  let rec collect i acc =
-    if i > t.aru then List.rev acc
-    else collect (i + 1) (t.ring.(i land t.mask) :: acc)
-  in
-  let out = collect (t.delivered + 1) [] in
-  t.delivered <- max t.delivered t.aru;
-  out
+  if t.delivered >= t.aru then invalid_arg "Recv_buffer.pop_deliverable";
+  t.delivered <- t.delivered + 1;
+  t.ring.(t.delivered land t.mask)
 
 let gc_below t bound =
   let bound = min bound t.delivered in

@@ -31,9 +31,14 @@ val missing_up_to : t -> int -> int list
 (** [missing_up_to t seq] is the sorted list of gaps in
     [my_aru+1 .. seq] — what this node must put in the token's rtr. *)
 
-val pop_deliverable : t -> Wire.packet list
-(** Packets from the delivery cursor up to [my_aru], in sequence order;
-    advances the cursor. Each packet is returned exactly once. *)
+val has_deliverable : t -> bool
+(** Whether the delivery cursor is below [my_aru]. *)
+
+val pop_deliverable : t -> Wire.packet
+(** The packet just after the delivery cursor; advances the cursor by
+    one. Popping while {!has_deliverable} holds returns every packet up
+    to [my_aru] exactly once, in sequence order, and allocates nothing.
+    @raise Invalid_argument if nothing is deliverable. *)
 
 val gc_below : t -> int -> unit
 (** Discards stored packets with sequence number [<= bound]; the bound

@@ -49,6 +49,46 @@ type reassembly = {
   mutable re_next : int;  (* next fragment index expected *)
 }
 
+(* The delivery FIFO: (seq, element) pairs in two parallel ring
+   arrays, so queuing and dequeuing an element allocates nothing once
+   the FIFO has grown to the largest backlog. Slots outside
+   [head .. head + len) may still hold delivered elements until they are
+   overwritten. *)
+type pending = {
+  mutable seqs : int array;
+  mutable elems : Wire.element array;  (* length: a power of two *)
+  mutable head : int;
+  mutable len : int;
+}
+
+let no_element =
+  { Wire.message = Message.make ~origin:0 ~app_seq:0 ~size:0 (); fragment = None }
+
+let pending_create () =
+  { seqs = Array.make 64 0; elems = Array.make 64 no_element; head = 0; len = 0 }
+
+let pending_push q seq e =
+  let cap = Array.length q.elems in
+  if q.len = cap then begin
+    let seqs = Array.make (2 * cap) 0 and elems = Array.make (2 * cap) no_element in
+    for i = 0 to cap - 1 do
+      let j = (q.head + i) land (cap - 1) in
+      seqs.(i) <- q.seqs.(j);
+      elems.(i) <- q.elems.(j)
+    done;
+    q.seqs <- seqs;
+    q.elems <- elems;
+    q.head <- 0
+  end;
+  let i = (q.head + q.len) land (Array.length q.elems - 1) in
+  q.seqs.(i) <- seq;
+  q.elems.(i) <- e;
+  q.len <- q.len + 1
+
+let pending_drop q =
+  q.head <- (q.head + 1) land (Array.length q.elems - 1);
+  q.len <- q.len - 1
+
 type t = {
   sim : Sim.t;
   cpu : Cpu.t;
@@ -59,8 +99,8 @@ type t = {
   callbacks : callbacks;
   stats : stats;
   store : Recv_buffer.t;
-  pending_delivery : (int * Wire.element) Queue.t;
-      (* (seq, element) popped from the store in order, awaiting the
+  pending : pending;
+      (* elements popped from the store in order, awaiting the
          safe-delivery stability condition *)
   mutable safe_horizon : int;
       (* seqs at or below this are held by every ring member: the
@@ -98,15 +138,19 @@ type t = {
   mutable consensus_timer : Timer.t option;
 }
 
-let trace t fmt =
-  match t.trace with
-  | Some tr -> Trace.emitf tr ~component:(Printf.sprintf "srp%d" t.me) fmt
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
 (* Structured telemetry. [tel_active] is the hot-path guard: call sites
    only build an event value when someone is listening. *)
 let[@inline] tel_active t =
   match t.trace with Some tl -> Telemetry.active tl | None -> false
+
+(* String trace lines. Inactive, this builds no component string and
+   formats nothing; the format's argument closures are still applied, so
+   call sites on the per-token path also sit under [tel_active]. *)
+let trace t fmt =
+  match t.trace with
+  | Some tr when Telemetry.active tr ->
+    Trace.emitf tr ~component:(Printf.sprintf "srp%d" t.me) fmt
+  | _ -> Format.ikfprintf ignore Format.str_formatter fmt
 
 let tel_emit t ev =
   match t.trace with Some tl -> Telemetry.emit tl ev | None -> ()
@@ -193,22 +237,28 @@ let deliver_element t (e : Wire.element) =
 let element_deliverable t seq (e : Wire.element) =
   (not e.message.Message.safe) || seq <= t.safe_horizon
 
-let flush_pending t ~ignore_safety =
-  let rec drain () =
-    match Queue.peek_opt t.pending_delivery with
-    | Some (seq, e) when ignore_safety || element_deliverable t seq e ->
-      ignore (Queue.pop t.pending_delivery);
+let rec flush_pending t ~ignore_safety =
+  let q = t.pending in
+  if q.len > 0 then begin
+    let e = q.elems.(q.head) in
+    if ignore_safety || element_deliverable t q.seqs.(q.head) e then begin
+      pending_drop q;
       deliver_element t e;
-      drain ()
-    | Some _ | None -> ()
-  in
-  drain ()
+      flush_pending t ~ignore_safety
+    end
+  end
+
+let rec queue_elements q seq = function
+  | [] -> ()
+  | e :: rest ->
+    pending_push q seq e;
+    queue_elements q seq rest
 
 let deliver_ready t =
-  List.iter
-    (fun (p : Wire.packet) ->
-      List.iter (fun e -> Queue.add (p.seq, e) t.pending_delivery) p.elements)
-    (Recv_buffer.pop_deliverable t.store);
+  while Recv_buffer.has_deliverable t.store do
+    let p = Recv_buffer.pop_deliverable t.store in
+    queue_elements t.pending p.Wire.seq p.Wire.elements
+  done;
   flush_pending t ~ignore_safety:false
 
 (* --- token evidence and retransmission ----------------------------- *)
@@ -222,10 +272,11 @@ let token_retransmit_expired t () =
     | None -> ()
     | Some tok ->
       t.stats.token_retransmits <- t.stats.token_retransmits + 1;
-      if tel_active t then
+      if tel_active t then begin
         tel_emit t
           (Telemetry.Token_retransmit { node = t.me; tok = tok_info tok });
-      trace t "retransmit token %a" Token.pp tok;
+        trace t "retransmit token %a" Token.pp tok
+      end;
       t.lower.send_token ~dst:(Membership.next_on_ring t.ring ~me:t.me) tok;
       Timer.start_if_stopped (get_timer t.token_retransmit_timer)
         t.const.token_retransmit_interval
@@ -648,9 +699,10 @@ and process_token t (tok : Token.t) =
       Cpu.submit t.cpu ~cost:(packet_cost p) (fun () ->
           if still_valid () then begin
             t.stats.retransmissions_served <- t.stats.retransmissions_served + 1;
-            if tel_active t then
+            if tel_active t then begin
               tel_emit t (Telemetry.Rtr_serve { node = t.me; seq = p.seq });
-            trace t "retransmit seq=%d" p.seq;
+              trace t "retransmit seq=%d" p.seq
+            end;
             t.lower.send_data p
           end))
     retrans_packets;
@@ -772,11 +824,12 @@ and complete_token_visit t tok ~rotation ~rtr_left ~new_seq ~sent =
     t.aru_history <- Retransmit.truncate 4 t.aru_history
   | _ -> ());
   let dst = Membership.next_on_ring t.ring ~me:t.me in
-  if tel_active t then
+  if tel_active t then begin
     tel_emit t
       (Telemetry.Token_tx
          { node = t.me; tok = tok_info tok'; rtr_len = List.length rtr });
-  trace t "forward %a to N%d" Token.pp tok' dst;
+    trace t "forward %a to N%d" Token.pp tok' dst
+  end;
   t.lower.send_token ~dst tok';
   t.last_sent_token <- Some tok';
   Timer.start_if_stopped (get_timer t.token_retransmit_timer)
@@ -994,7 +1047,7 @@ let create sim ~cpu ~const ~me ~lower ?trace callbacks =
       callbacks;
       stats = fresh_stats ();
       store = Recv_buffer.create ();
-      pending_delivery = Queue.create ();
+      pending = pending_create ();
       safe_horizon = 0;
       rotation_hist;
       rotation_started = Vtime.ns (-1);
@@ -1085,6 +1138,8 @@ let submit t ~size ?(safe = false) ?(data = Message.Blob) () =
     (Message.make ~origin:t.me ~app_seq:t.app_seq ~size ~safe ~data ())
     t.send_queue
 
+let last_app_seq t = t.app_seq
+
 let set_supplier t pull = t.supplier <- Some pull
 
 let install_ring t ~ring_id ~members =
@@ -1109,7 +1164,7 @@ let recover t =
   t.crashed <- false;
   Recv_buffer.reset t.store;
   Queue.clear t.send_queue;
-  Queue.clear t.pending_delivery;
+  t.pending.len <- 0;
   t.pending_elements <- [];
   t.safe_horizon <- 0;
   Flow.reset t.flow;

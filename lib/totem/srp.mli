@@ -64,6 +64,11 @@ val submit : t -> size:int -> ?safe:bool -> ?data:Message.data -> unit -> unit
     partitions away). The queue is unbounded; use
     {!send_queue_length} for application-level backpressure. *)
 
+val last_app_seq : t -> int
+(** The [app_seq] of the message this node originated most recently
+    (0 before the first). Right after {!submit} it names that message,
+    so its causal tid is [Causal.tid_of ~origin:(me t) ~app_seq]. *)
+
 val set_supplier : t -> (unit -> (int * Message.data) option) -> unit
 (** Installs a pull source consulted on each token visit to top the
     send queue up to the flow-control allowance — how the benchmarks

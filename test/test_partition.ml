@@ -146,32 +146,47 @@ let test_chaos_domains_deterministic style () =
    campaign with batching off. Campaigns are deliberately small (two
    bursts, short window) so the property gets breadth, not depth — the
    Slow chaos tests above cover the deep schedules. *)
+let batched_equals_plain (style_idx, seed, wire, factor) =
+  let style =
+    match style_idx with
+    | 0 -> Totem_rrp.Style.No_replication
+    | 1 -> Totem_rrp.Style.Active
+    | _ -> Totem_rrp.Style.Passive
+  in
+  let campaign =
+    Campaign.make ~num_nodes:4 ~num_nets:2 ~style ~seed ~duration:(Vtime.ms 60)
+      ~quiesce:(Vtime.ms 800)
+      ~traffic:
+        (Campaign.Bursts [ (0, 256, 3, Vtime.ms 5); (2, 512, 2, Vtime.ms 25) ])
+      ~wire []
+  in
+  let batched =
+    Runner.run ~sim_domains:1 ~window_batch:true ~max_horizon_factor:factor
+      campaign
+  in
+  let plain = Runner.run ~sim_domains:1 ~window_batch:false campaign in
+  fingerprint batched = fingerprint plain && batched.Runner.delivered > 0
+
 let qcheck_batching_deterministic =
   QCheck.Test.make ~name:"exchange: batched run == unbatched run at d1"
     ~count:8
     QCheck.(
       quad (int_range 0 2) (int_range 0 10_000) bool (int_range 1 16))
-    (fun (style_idx, seed, wire, factor) ->
-      let style =
-        match style_idx with
-        | 0 -> Totem_rrp.Style.No_replication
-        | 1 -> Totem_rrp.Style.Active
-        | _ -> Totem_rrp.Style.Passive
-      in
-      let campaign =
-        Campaign.make ~num_nodes:4 ~num_nets:2 ~style ~seed
-          ~duration:(Vtime.ms 60) ~quiesce:(Vtime.ms 800)
-          ~traffic:
-            (Campaign.Bursts
-               [ (0, 256, 3, Vtime.ms 5); (2, 512, 2, Vtime.ms 25) ])
-          ~wire []
-      in
-      let batched =
-        Runner.run ~sim_domains:1 ~window_batch:true ~max_horizon_factor:factor
-          campaign
-      in
-      let plain = Runner.run ~sim_domains:1 ~window_batch:false campaign in
-      fingerprint batched = fingerprint plain && batched.Runner.delivered > 0)
+    batched_equals_plain
+
+(* Cases the property once failed: every node's merge-probe timer
+   fires at the same instant (800 ms), and a solo window capped exactly
+   at the other partitions' next event flushed the soloist's probe a
+   barrier ahead of the lower-numbered nodes' probes, reordering the
+   shared medium. *)
+let test_batching_equal_time_sends () =
+  List.iter
+    (fun case ->
+      let style, seed, _, factor = case in
+      Alcotest.(check bool)
+        (Printf.sprintf "style %d seed %d factor %d" style seed factor)
+        true (batched_equals_plain case))
+    [ (1, 4935, false, 2); (2, 9674, false, 9) ]
 
 (* The lookahead-bound harness again, with batching on and a random
    horizon factor: a barrier may only skip its flush when every hook is
@@ -302,6 +317,59 @@ let test_parallel_map_propagates () =
   Alcotest.check_raises "sequential path too" (Boom 3) (fun () ->
       ignore (Parallel.map ~jobs:1 f (Array.init 50 Fun.id)))
 
+(* --- hot-path allocation ------------------------------------------- *)
+
+(* The per-event budget is the caller's closure plus one queue entry,
+   both paid when the event is scheduled: firing it (peek, pop, clock
+   update, call) allocates nothing. Everything is scheduled up front
+   with one shared closure, so the words counted around the drain must
+   be a small constant, not a multiple of the event count. *)
+let alloc_events = 1000
+
+let schedule_alloc_load sim fired =
+  let f () = incr fired in
+  for i = 1 to alloc_events do
+    ignore (Sim.schedule sim ~delay:(Vtime.us i) f);
+    (* a timer re-arm, as [Timer.restart] does it: arm, cancel, arm *)
+    let h = Sim.schedule_timer sim ~delay:(Vtime.us i) f in
+    Sim.cancel_timer sim h;
+    ignore (Sim.schedule_timer sim ~delay:(Vtime.us i + 1) f)
+  done
+
+let minor_words_during f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_drain_allocation () =
+  let check_constant what words fired =
+    Alcotest.(check int) (what ^ ": every event fired") (2 * alloc_events) fired;
+    if words > 64.0 then
+      Alcotest.failf "%s allocated %.0f words for %d events" what words
+        (2 * alloc_events)
+  in
+  let sim = Sim.create () in
+  let fired = ref 0 in
+  schedule_alloc_load sim fired;
+  let words = minor_words_during (fun () -> Sim.run_until sim (Vtime.ms 2)) in
+  check_constant "classic Sim.run_until" words !fired;
+  (* One partition owning all work within [max_horizon_factor]
+     lookaheads, no hook holding work: the exchange runs it in one
+     widened solo window through [drain_while]. *)
+  let global = Sim.create () in
+  let part = Sim.create ~seed:7 () in
+  let ex =
+    Exchange.create ~batching:true ~max_horizon_factor:32
+      ~lookahead:(Vtime.us 100) ~global ~parts:[| part |] ()
+  in
+  let fired = ref 0 in
+  schedule_alloc_load part fired;
+  let words = minor_words_during (fun () -> Exchange.run_until ex (Vtime.ms 4)) in
+  Alcotest.(check bool)
+    "the drain ran in a widened window" true
+    ((Exchange.stats ex).Exchange.windows_widened >= 1);
+  check_constant "exchange drain_while window" words !fired
+
 let tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -311,6 +379,8 @@ let tests =
       qcheck_batching_never_skips_pending_flush;
     ]
   @ [
+      Alcotest.test_case "batched == unbatched with equal-time sends" `Quick
+        test_batching_equal_time_sends;
       Alcotest.test_case "windows-batched counter engages iff enabled" `Quick
         test_windows_batched_counter;
       Alcotest.test_case "cluster shutdown joins the worker pool" `Quick
@@ -321,6 +391,8 @@ let tests =
         (test_chaos_domains_deterministic Totem_rrp.Style.Active);
       Alcotest.test_case "chaos fingerprint d1=d8 (passive)" `Slow
         (test_chaos_domains_deterministic Totem_rrp.Style.Passive);
+      Alcotest.test_case "drains allocate O(1) words, not per event" `Quick
+        test_drain_allocation;
       Alcotest.test_case "Parallel.map results land by index" `Quick
         test_parallel_map_results;
       Alcotest.test_case "Parallel.map propagates worker exceptions" `Quick

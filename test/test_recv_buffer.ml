@@ -9,14 +9,22 @@ let packet ~seq =
       [ { Wire.message = Message.make ~origin:0 ~app_seq:seq ~size:10 (); fragment = None } ];
   }
 
+(* Every deliverable packet, in order, through the one-at-a-time pop. *)
+let pop_all b =
+  let rec go acc =
+    if Recv_buffer.has_deliverable b then go (Recv_buffer.pop_deliverable b :: acc)
+    else List.rev acc
+  in
+  go []
+
 let test_in_order () =
   let b = Recv_buffer.create () in
   Alcotest.(check int) "aru starts 0" 0 (Recv_buffer.my_aru b);
   ignore (Recv_buffer.store b (packet ~seq:1));
   ignore (Recv_buffer.store b (packet ~seq:2));
   Alcotest.(check int) "aru" 2 (Recv_buffer.my_aru b);
-  Alcotest.(check int) "deliverable" 2 (List.length (Recv_buffer.pop_deliverable b));
-  Alcotest.(check int) "pop once" 0 (List.length (Recv_buffer.pop_deliverable b))
+  Alcotest.(check int) "deliverable" 2 (List.length (pop_all b));
+  Alcotest.(check int) "pop once" 0 (List.length (pop_all b))
 
 let test_gap_blocks_delivery () =
   let b = Recv_buffer.create () in
@@ -26,10 +34,10 @@ let test_gap_blocks_delivery () =
   Alcotest.(check int) "highest" 3 (Recv_buffer.highest_seen b);
   Alcotest.(check (list int)) "missing" [ 2 ] (Recv_buffer.missing_up_to b 3);
   Alcotest.(check int) "only seq1 deliverable" 1
-    (List.length (Recv_buffer.pop_deliverable b));
+    (List.length (pop_all b));
   ignore (Recv_buffer.store b (packet ~seq:2));
   Alcotest.(check int) "aru jumps" 3 (Recv_buffer.my_aru b);
-  let delivered = Recv_buffer.pop_deliverable b in
+  let delivered = pop_all b in
   Alcotest.(check (list int)) "2 then 3"
     [ 2; 3 ]
     (List.map (fun p -> p.Wire.seq) delivered)
@@ -53,7 +61,7 @@ let test_gc () =
   for seq = 1 to 10 do
     ignore (Recv_buffer.store b (packet ~seq))
   done;
-  ignore (Recv_buffer.pop_deliverable b);
+  ignore (pop_all b);
   Alcotest.(check int) "stored" 10 (Recv_buffer.stored_count b);
   Recv_buffer.gc_below b 4;
   Alcotest.(check int) "gc'd" 6 (Recv_buffer.stored_count b);
@@ -71,7 +79,7 @@ let test_gc_never_drops_undelivered () =
   (* Nothing delivered yet: gc must refuse. *)
   Recv_buffer.gc_below b 5;
   Alcotest.(check int) "all retained" 5 (Recv_buffer.stored_count b);
-  ignore (Recv_buffer.pop_deliverable b);
+  ignore (pop_all b);
   Recv_buffer.gc_below b 5;
   Alcotest.(check int) "now gone" 0 (Recv_buffer.stored_count b)
 
@@ -102,7 +110,7 @@ let test_ring_wraparound () =
         incr delivered;
         if p.Wire.seq <> !delivered then
           Alcotest.failf "delivered %d, expected %d" p.Wire.seq !delivered)
-      (Recv_buffer.pop_deliverable b);
+      (pop_all b);
     (* Keep a trailing window of 100 seqs, as stability gc would. *)
     if seq mod 100 = 0 then Recv_buffer.gc_below b (seq - 100)
   done;
@@ -135,7 +143,7 @@ let test_gc_horizon_vs_wrapped_slot () =
   for seq = 1 to 10 do
     ignore (Recv_buffer.store b (packet ~seq))
   done;
-  ignore (Recv_buffer.pop_deliverable b);
+  ignore (pop_all b);
   Recv_buffer.gc_below b 10;
   Alcotest.(check bool) "gc'd seq present via horizon" true (Recv_buffer.has b 7);
   let wrapped = 7 + 1024 in
@@ -159,7 +167,7 @@ let qcheck_random_arrival_order =
         (fun seq ->
           ignore (Recv_buffer.store b (packet ~seq));
           delivered :=
-            !delivered @ List.map (fun p -> p.Wire.seq) (Recv_buffer.pop_deliverable b))
+            !delivered @ List.map (fun p -> p.Wire.seq) (pop_all b))
         order;
       !delivered = List.init n (fun i -> i + 1))
 

@@ -100,7 +100,7 @@ let test_timer_cancel_and_pending () =
   let h = Sim.schedule_timer sim ~delay:(Vtime.ms 1) (fun () -> fired := true) in
   ignore (Sim.schedule sim ~delay:(Vtime.ms 2) ignore);
   Alcotest.(check int) "timers count as pending" 2 (Sim.pending sim);
-  Sim.cancel sim h;
+  Sim.cancel_timer sim h;
   Alcotest.(check int) "cancelled timer leaves" 1 (Sim.pending sim);
   Sim.run_until sim (Vtime.ms 5);
   Alcotest.(check bool) "cancelled timer never fires" false !fired
@@ -113,7 +113,7 @@ let test_events_processed () =
   done;
   ignore (Sim.schedule_timer sim ~delay:(Vtime.ms 2) ignore);
   let h = Sim.schedule_timer sim ~delay:(Vtime.ms 3) ignore in
-  Sim.cancel sim h;
+  Sim.cancel_timer sim h;
   Sim.run sim;
   Alcotest.(check int) "counts fired events and timers, not cancels" 4
     (Sim.events_processed sim)
