@@ -92,27 +92,6 @@ let sim_domains_t =
            0 (the default) keeps the classic single-simulator loop; all \
            $(docv) >= 1 produce bitwise-identical figures and telemetry.")
 
-let window_batch_t =
-  Arg.(
-    value & opt bool true
-    & info [ "window-batch" ] ~docv:"BOOL"
-        ~doc:
-          "Amortized barriers for the parallel core (default $(b,true)): \
-           skip flush passes at barriers with no pending cross-partition \
-           work and widen windows adaptively while a single node owns all \
-           near-term events. Results are bitwise-identical either way; \
-           $(b,--window-batch=false) is the A/B overhead baseline. \
-           Ignored unless $(b,--sim-domains) >= 1.")
-
-let max_horizon_factor_t =
-  Arg.(
-    value & opt int 8
-    & info [ "max-horizon-factor" ] ~docv:"K"
-        ~doc:
-          "Widest adaptive window, as a multiple of the lookahead \
-           (default 8). 1 pins every window to one lookahead. Ignored \
-           unless $(b,--window-batch).")
-
 let corrupt_t =
   Arg.(
     value & opt float 0.0
@@ -128,11 +107,11 @@ let style_name = function
   | Style.Passive -> "passive"
   | Style.Active_passive k -> Printf.sprintf "active-passive K=%d" k
 
-let make_cluster ?(wire = false) ?(sim_domains = 0) ?(window_batch = true)
-    ?(max_horizon_factor = 8) ~style ~nodes ~nets ~seed () =
+let make_cluster ?(wire = false) ?(sim_domains = 0) ~style ~nodes ~nets ~seed
+    () =
   let config =
     Config.make ~num_nodes:nodes ~num_nets:nets ~style ~seed ~wire_bytes:wire
-      ~sim_domains ~window_batch ~max_horizon_factor ()
+      ~sim_domains ()
   in
   Cluster.create config
 
@@ -146,12 +125,9 @@ let open_sink = function
 
 let close_sink (oc, owned) = if owned then close_out oc else flush oc
 
-let throughput style nodes nets size seconds seed loss wire sim_domains
-    window_batch max_horizon_factor corrupt trace_out metrics_out =
-  let cluster =
-    make_cluster ~wire ~sim_domains ~window_batch ~max_horizon_factor ~style
-      ~nodes ~nets ~seed ()
-  in
+let throughput style nodes nets size seconds seed loss wire sim_domains corrupt
+    trace_out metrics_out =
+  let cluster = make_cluster ~wire ~sim_domains ~style ~nodes ~nets ~seed () in
   let telemetry = Cluster.telemetry cluster in
   let trace_sink = Option.map open_sink trace_out in
   (match trace_sink with
@@ -222,8 +198,8 @@ let throughput_cmd =
     (Cmd.info "throughput" ~doc)
     Term.(
       const throughput $ style_t $ nodes_t $ nets_t $ size_t $ seconds_t $ seed_t
-      $ loss_t $ wire_bytes_t $ sim_domains_t $ window_batch_t
-      $ max_horizon_factor_t $ corrupt_t $ trace_out_t $ metrics_out_t)
+      $ loss_t $ wire_bytes_t $ sim_domains_t $ corrupt_t $ trace_out_t
+      $ metrics_out_t)
 
 (* --- failover -------------------------------------------------------- *)
 
@@ -299,14 +275,11 @@ let latency_cmd =
 
 (* --- trace ----------------------------------------------------------- *)
 
-let trace style nodes nets seed millis jsonl spans wire sim_domains window_batch
-    max_horizon_factor causal_out recorder_out recorder_capacity =
-  let cluster =
-    make_cluster ~wire ~sim_domains ~window_batch ~max_horizon_factor ~style
-      ~nodes ~nets ~seed ()
-  in
+let trace style nodes nets seed millis jsonl spans wire sim_domains causal_out
+    recorder_out recorder_capacity =
+  let cluster = make_cluster ~wire ~sim_domains ~style ~nodes ~nets ~seed () in
   let telemetry = Cluster.telemetry cluster in
-  Totem_engine.Trace.enable (Cluster.trace cluster);
+  Totem_engine.Telemetry.set_tracing telemetry true;
   let causal =
     Option.map (fun _ -> fst (Totem_engine.Causal.attach telemetry)) causal_out
   in
@@ -356,7 +329,12 @@ let trace style nodes nets seed millis jsonl spans wire sim_domains window_batch
     Totem_engine.Telemetry.pp_spans Format.std_formatter
       (Totem_engine.Telemetry.token_spans telemetry)
   else if not stdout_taken then
-    Totem_engine.Trace.dump Format.std_formatter (Cluster.trace cluster);
+    Seq.iter
+      (fun { Totem_engine.Telemetry.time; event } ->
+        Format.printf "[%a] %-12s %s@." Vtime.pp time
+          (Totem_engine.Telemetry.component_of event)
+          (Totem_engine.Telemetry.message_of event))
+      (Totem_engine.Telemetry.events_seq telemetry);
   Cluster.shutdown cluster
 
 let millis_t =
@@ -411,22 +389,17 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
       const trace $ style_t $ nodes_t $ nets_t $ seed_t $ millis_t $ jsonl_t
-      $ spans_t $ wire_bytes_t $ sim_domains_t $ window_batch_t
-      $ max_horizon_factor_t $ causal_out_t $ recorder_out_t
+      $ spans_t $ wire_bytes_t $ sim_domains_t $ causal_out_t $ recorder_out_t
       $ recorder_capacity_t)
 
 (* --- sweep ------------------------------------------------------------ *)
 
-let sweep style nodes nets seconds seed sim_domains window_batch
-    max_horizon_factor csv =
+let sweep style nodes nets seconds seed sim_domains csv =
   let sizes = [| 100; 200; 400; 700; 1024; 1400; 2048; 4096; 8192; 10240 |] in
   let rates =
     Array.map
       (fun size ->
-        let cluster =
-          make_cluster ~sim_domains ~window_batch ~max_horizon_factor ~style
-            ~nodes ~nets ~seed ()
-        in
+        let cluster = make_cluster ~sim_domains ~style ~nodes ~nets ~seed () in
         Cluster.start cluster;
         Workload.saturate cluster ~size;
         let tp =
@@ -468,7 +441,7 @@ let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
       const sweep $ style_t $ nodes_t $ nets_t $ seconds_t $ seed_t
-      $ sim_domains_t $ window_batch_t $ max_horizon_factor_t $ csv_t)
+      $ sim_domains_t $ csv_t)
 
 (* --- chaos ------------------------------------------------------------ *)
 

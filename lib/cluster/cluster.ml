@@ -13,7 +13,7 @@ type t = {
   config : Config.t;
   sim : Sim.t;
   fabric : Totem_net.Fabric.t;
-  trace : Trace.t;
+  telemetry : Telemetry.t;
   mutable nodes : node array;
   mutable deliver_hooks :
     (Totem_net.Addr.node_id -> Srp.Message.t -> unit) list;
@@ -38,7 +38,7 @@ type t = {
   decode_caches : Srp.Codec.decode_cache array option;
   (* Parallel simulator core (Config.sim_domains > 0): per-node
      partition simulators and buffered telemetry hubs, synchronized by
-     the exchange. In classic mode every slot aliases [sim] / [trace]
+     the exchange. In classic mode every slot aliases [sim] / [telemetry]
      and [exchange] is [None]. *)
   node_sims : Sim.t array;
   node_tele : Telemetry.t array;
@@ -62,7 +62,7 @@ let build_node t id =
   let cpu = Cpu.create nsim ~name:(Printf.sprintf "cpu%d" id) in
   let rrp =
     Rrp.Rrp.create nsim ~fabric:t.fabric ~node:id ~const:config.Config.const
-      ~config:config.Config.rrp ~style:config.Config.style ~trace:ntl ()
+      ~config:config.Config.rrp ~style:config.Config.style ~telemetry:ntl ()
   in
   let callbacks =
     {
@@ -82,7 +82,7 @@ let build_node t id =
   in
   let srp =
     Srp.Srp.create nsim ~cpu ~const:config.Config.const ~me:id
-      ~lower:(Rrp.Rrp.lower rrp) ~trace:ntl callbacks
+      ~lower:(Rrp.Rrp.lower rrp) ~telemetry:ntl callbacks
   in
   Rrp.Rrp.connect rrp
     ~deliver_data:(Srp.Srp.recv_data srp)
@@ -157,8 +157,8 @@ let create config =
   let num_nodes = config.Config.num_nodes in
   let partitioned = config.Config.sim_domains > 0 in
   let sim = Sim.create ~seed:config.Config.seed () in
-  (* One telemetry hub per cluster; [Trace.t] is an alias for it, so the
-     legacy trace API and the structured registry share the stream. *)
+  (* One telemetry hub per cluster: string trace lines and structured
+     events share its ring. *)
   let telemetry = Telemetry.create sim in
   (* Partition assignment is structural: one simulator per node plus the
      coordinator [sim], whatever the domain count — Config.sim_domains
@@ -198,7 +198,7 @@ let create config =
       config;
       sim;
       fabric;
-      trace = telemetry;
+      telemetry;
       nodes = [||];
       deliver_hooks = [];
       submit_hooks = [];
@@ -330,8 +330,7 @@ let run_for t d = run_until t (Vtime.add (Sim.now t.sim) d)
 let shutdown t =
   match t.exchange with Some ex -> Exchange.shutdown ex | None -> ()
 let config t = t.config
-let trace t = t.trace
-let telemetry t = t.trace
+let telemetry t = t.telemetry
 let exchange t = t.exchange
 
 let events_processed t =

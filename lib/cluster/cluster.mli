@@ -58,12 +58,10 @@ val shutdown : t -> unit
 
 val config : t -> Config.t
 
-val trace : t -> Totem_engine.Trace.t
-
 val telemetry : t -> Totem_engine.Telemetry.t
-(** The cluster-wide telemetry hub (the same object as [trace]):
-    structured events from every layer plus the metrics registry. *)
-(** Disabled unless {!Totem_engine.Trace.enable}d. *)
+(** The cluster-wide telemetry hub: structured events from every layer
+    plus the metrics registry. Its event ring records nothing until
+    {!Totem_engine.Telemetry.set_tracing} turns it on. *)
 
 (** {1 Nodes} *)
 

@@ -115,9 +115,3 @@ let ascii_plot ?(out = Format.std_formatter) ?(height = 18) ?(width = 64)
   end
 
 let ratio a b = if b = 0.0 then 0.0 else a /. b
-
-let print_sim_rate ?(out = Format.std_formatter) ~events ~wall_sec () =
-  if wall_sec > 0.0 && events > 0 then
-    Format.fprintf out "  (simulator: %d events in %.2fs wall, %.2fM events/sec)@."
-      events wall_sec
-      (float_of_int events /. wall_sec /. 1e6)

@@ -41,9 +41,3 @@ val ascii_plot :
 
 val ratio : float -> float -> float
 (** [ratio a b] is [a /. b], 0 when [b] is 0 — for win-factor checks. *)
-
-val print_sim_rate :
-  ?out:Format.formatter -> events:int -> wall_sec:float -> unit -> unit
-(** One line of simulator-speed telemetry (events popped, wall-clock,
-    events/sec) printed after each benchmark target, so the simulator's
-    own performance trajectory is visible in every bench run. *)

@@ -3,14 +3,14 @@
    (JSONL, metrics JSON/text, token-rotation span view).
 
    Two delivery paths for events:
-   - a bounded ring (like the old string Trace), enabled with
+   - a bounded ring, enabled with
      [set_tracing], read back with [events] — what tests assert on;
    - an optional streaming sink (e.g. a JSONL writer), which sees every
      event regardless of the ring flag — what long runs export through.
 
    The hot-path contract: when neither is on, [active] is false and
    instrumented code skips constructing the event entirely, so disabled
-   telemetry costs one branch per site, exactly like [Trace.emitf]. *)
+   telemetry costs one branch per site. *)
 
 (* --- events --------------------------------------------------------- *)
 
@@ -77,7 +77,7 @@ type event =
   | Frame_corrupt of { net : int; src : int; kind : string }
   | Frame_crc_reject of { node : int; net : int; src : int }
   | Frame_decode_reject of { node : int; net : int; src : int; error : string }
-  (* escape hatch; also carries the legacy string Trace *)
+  (* escape hatch: the protocol layers' string trace lines *)
   | Custom of { component : string; message : string }
 
 type entry = { time : Vtime.t; event : event }

@@ -154,7 +154,7 @@ val emit : t -> event -> unit
 
 val custom : t -> component:string -> string -> unit
 (** [custom t ~component msg] emits a [Custom] event (no-op when not
-    [active]); the compatibility path for legacy string traces. *)
+    [active]): the protocol layers' free-form string trace lines. *)
 
 val customf :
   t -> component:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
@@ -288,7 +288,7 @@ val node_of_event : event -> int option
     recorder ({!Recorder}) shards its per-node rings by this key. *)
 
 val message_of : event -> string
-(** Human-readable rendering, matching the legacy [Trace] style. *)
+(** Human-readable rendering of one event's payload. *)
 
 val type_name : event -> string
 (** Stable snake_case tag used in JSONL output, e.g. ["token_rx"]. *)

@@ -23,7 +23,7 @@ type base = {
   const : Srp.Const.t;
   config : Rrp_config.t;
   callbacks : Callbacks.t;
-  trace : Trace.t option;
+  telemetry : Telemetry.t option;
   faulty : bool array;
   pstates : pstate array;
   mutable net_clean : int -> bool;  (* style hook: net clean this rotation? *)
@@ -33,7 +33,7 @@ type base = {
   mutable reports : Fault_report.t list;
 }
 
-let make_base sim ~fabric ~node ~const ~config ~callbacks ?trace () =
+let make_base sim ~fabric ~node ~const ~config ~callbacks ?telemetry () =
   let n = Totem_net.Fabric.num_nets fabric in
   {
     sim;
@@ -42,7 +42,7 @@ let make_base sim ~fabric ~node ~const ~config ~callbacks ?trace () =
     const;
     config;
     callbacks;
-    trace;
+    telemetry;
     faulty = Array.make n false;
     pstates =
       Array.init n (fun _ ->
@@ -76,18 +76,18 @@ let non_faulty_count b =
 (* String trace lines; inactive, no component string is built and
    nothing is formatted. *)
 let emit b fmt =
-  match b.trace with
-  | Some tr when Telemetry.active tr ->
-    Trace.emitf tr ~component:(Printf.sprintf "rrp%d" b.node) fmt
+  match b.telemetry with
+  | Some tl when Telemetry.active tl ->
+    Telemetry.customf tl ~component:(Printf.sprintf "rrp%d" b.node) fmt
   | _ -> Format.ikfprintf ignore Format.str_formatter fmt
 
-let telemetry b = b.trace
+let telemetry b = b.telemetry
 
 let[@inline] tel_active b =
-  match b.trace with Some tl -> Telemetry.active tl | None -> false
+  match b.telemetry with Some tl -> Telemetry.active tl | None -> false
 
 let tel_emit b ev =
-  match b.trace with Some tl -> Telemetry.emit tl ev | None -> ()
+  match b.telemetry with Some tl -> Telemetry.emit tl ev | None -> ()
 
 let tok_info (tok : Srp.Token.t) =
   {

@@ -14,7 +14,7 @@ val make_base :
   const:Totem_srp.Const.t ->
   config:Rrp_config.t ->
   callbacks:Callbacks.t ->
-  ?trace:Totem_engine.Trace.t ->
+  ?telemetry:Totem_engine.Telemetry.t ->
   unit ->
   base
 
@@ -25,8 +25,7 @@ val callbacks : base -> Callbacks.t
 val num_nets : base -> int
 
 val telemetry : base -> Totem_engine.Telemetry.t option
-(** The telemetry hub the base was built with (the [?trace] argument —
-    a [Trace.t] is a [Telemetry.t]). *)
+(** The telemetry hub the base was built with, if any. *)
 
 val tel_active : base -> bool
 (** Hot-path guard: true when structured events have a listener. *)
@@ -160,4 +159,5 @@ val every : base -> Totem_engine.Vtime.t -> (unit -> unit) -> unit
 (** Runs [f] periodically forever (monitor decay processes). *)
 
 val emit : base -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Trace hook; no-op without a trace. *)
+(** String trace line ({!Totem_engine.Telemetry.customf}); no-op without
+    an active telemetry hub. *)

@@ -12,13 +12,13 @@ type t = {
   impl : impl;
 }
 
-let create sim ~fabric ~node ~const ~config ~style ?trace () =
+let create sim ~fabric ~node ~const ~config ~style ?telemetry () =
   (match Style.validate style ~num_nets:(Totem_net.Fabric.num_nets fabric) with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Rrp.create: " ^ msg));
   let callbacks = Callbacks.create () in
   let base =
-    Layer.make_base sim ~fabric ~node ~const ~config ~callbacks ?trace ()
+    Layer.make_base sim ~fabric ~node ~const ~config ~callbacks ?telemetry ()
   in
   let impl =
     match style with

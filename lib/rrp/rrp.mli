@@ -26,7 +26,7 @@ val create :
   const:Totem_srp.Const.t ->
   config:Rrp_config.t ->
   style:Style.t ->
-  ?trace:Totem_engine.Trace.t ->
+  ?telemetry:Totem_engine.Telemetry.t ->
   unit ->
   t
 (** @raise Invalid_argument if the style does not fit the fabric's

@@ -95,7 +95,7 @@ type t = {
   const : Const.t;
   me : Totem_net.Addr.node_id;
   lower : Lower.t;
-  trace : Trace.t option;
+  telemetry : Telemetry.t option;
   callbacks : callbacks;
   stats : stats;
   store : Recv_buffer.t;
@@ -141,19 +141,19 @@ type t = {
 (* Structured telemetry. [tel_active] is the hot-path guard: call sites
    only build an event value when someone is listening. *)
 let[@inline] tel_active t =
-  match t.trace with Some tl -> Telemetry.active tl | None -> false
+  match t.telemetry with Some tl -> Telemetry.active tl | None -> false
 
 (* String trace lines. Inactive, this builds no component string and
    formats nothing; the format's argument closures are still applied, so
    call sites on the per-token path also sit under [tel_active]. *)
 let trace t fmt =
-  match t.trace with
-  | Some tr when Telemetry.active tr ->
-    Trace.emitf tr ~component:(Printf.sprintf "srp%d" t.me) fmt
+  match t.telemetry with
+  | Some tl when Telemetry.active tl ->
+    Telemetry.customf tl ~component:(Printf.sprintf "srp%d" t.me) fmt
   | _ -> Format.ikfprintf ignore Format.str_formatter fmt
 
 let tel_emit t ev =
-  match t.trace with Some tl -> Telemetry.emit tl ev | None -> ()
+  match t.telemetry with Some tl -> Telemetry.emit tl ev | None -> ()
 
 let tok_info (tok : Token.t) =
   {
@@ -1025,9 +1025,9 @@ let recv_join t (j : Wire.join) =
 
 let allowance_buckets = Array.init 33 float_of_int
 
-let create sim ~cpu ~const ~me ~lower ?trace callbacks =
+let create sim ~cpu ~const ~me ~lower ?telemetry callbacks =
   let rotation_hist, allowance_hist =
-    match trace with
+    match telemetry with
     | Some tl ->
       ( Telemetry.histogram tl (Printf.sprintf "srp.%d.rotation_ms" me),
         Telemetry.histogram ~buckets:allowance_buckets tl
@@ -1043,7 +1043,7 @@ let create sim ~cpu ~const ~me ~lower ?trace callbacks =
       const;
       me;
       lower;
-      trace;
+      telemetry;
       callbacks;
       stats = fresh_stats ();
       store = Recv_buffer.create ();
@@ -1097,7 +1097,7 @@ let create sim ~cpu ~const ~me ~lower ?trace callbacks =
   (* Expose the protocol counters through the registry as gauges; the
      counters themselves stay plain record fields so the hot path never
      pays a lookup. *)
-  (match trace with
+  (match telemetry with
   | Some tl ->
     let g name read =
       Telemetry.gauge tl

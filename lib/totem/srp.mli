@@ -48,7 +48,7 @@ val create :
   const:Const.t ->
   me:Totem_net.Addr.node_id ->
   lower:Lower.t ->
-  ?trace:Totem_engine.Trace.t ->
+  ?telemetry:Totem_engine.Telemetry.t ->
   callbacks ->
   t
 

@@ -48,6 +48,75 @@ let test_disabled_no_effect () =
   Alcotest.(check bool) "seq stays empty" true
     (Seq.is_empty (Telemetry.events_seq tl))
 
+(* --- the event ring ---------------------------------------------------- *)
+
+let messages tl =
+  List.map
+    (fun e -> Telemetry.message_of e.Telemetry.event)
+    (Telemetry.events tl)
+
+let test_capacity_guard () =
+  let sim = Sim.create () in
+  let expect_invalid capacity =
+    match Telemetry.create ~capacity sim with
+    | _ -> Alcotest.failf "capacity %d accepted" capacity
+    | exception Invalid_argument _ -> ()
+  in
+  expect_invalid 0;
+  expect_invalid (-3)
+
+let test_emit_order () =
+  let sim = Sim.create () in
+  let tl = Telemetry.create sim in
+  Telemetry.set_tracing tl true;
+  Telemetry.custom tl ~component:"a" "first";
+  ignore
+    (Sim.schedule sim ~delay:(Vtime.ms 1) (fun () ->
+         Telemetry.custom tl ~component:"b" "second"));
+  Sim.run_until sim (Vtime.ms 2);
+  match Telemetry.events tl with
+  | [ e1; e2 ] ->
+    Alcotest.(check string) "first" "a" (Telemetry.component_of e1.event);
+    Alcotest.(check string) "second" "second" (Telemetry.message_of e2.event);
+    Alcotest.(check int) "timestamped" (Vtime.ms 1) e2.Telemetry.time
+  | l -> Alcotest.failf "expected 2 events, got %d" (List.length l)
+
+(* The ring keeps the newest [capacity] events, oldest first, and the
+   allocation-free [events_seq] walks it in the same order. *)
+let test_ring_overwrite () =
+  let sim = Sim.create () in
+  let tl = Telemetry.create ~capacity:4 sim in
+  Telemetry.set_tracing tl true;
+  for i = 1 to 10 do
+    Telemetry.custom tl ~component:"x" (string_of_int i)
+  done;
+  Alcotest.(check (list string)) "last four" [ "7"; "8"; "9"; "10" ]
+    (messages tl);
+  Alcotest.(check (list string)) "seq follows ring" (messages tl)
+    (List.of_seq
+       (Seq.map
+          (fun e -> Telemetry.message_of e.Telemetry.event)
+          (Telemetry.events_seq tl)))
+
+let test_clear () =
+  let sim = Sim.create () in
+  let tl = Telemetry.create sim in
+  Telemetry.set_tracing tl true;
+  Telemetry.custom tl ~component:"x" "a";
+  Telemetry.clear tl;
+  Alcotest.(check int) "cleared" 0 (List.length (Telemetry.events tl));
+  Telemetry.custom tl ~component:"x" "b";
+  Alcotest.(check (list string)) "records again" [ "b" ] (messages tl)
+
+(* Inactive, [customf] consumes its arguments without formatting them:
+   a %a printer that would fail the test is never called. *)
+let test_customf_lazy () =
+  let sim = Sim.create () in
+  let tl = Telemetry.create sim in
+  let never _ _ = Alcotest.fail "formatted while inactive" in
+  Telemetry.customf tl ~component:"x" "value %d %a" 1 never ();
+  Alcotest.(check int) "nothing" 0 (List.length (Telemetry.events tl))
+
 (* --- scripted active-mode fault: exact event sequence ---------------- *)
 
 type problem_ev =
@@ -177,4 +246,13 @@ let tests =
       test_passive_hold_spans;
     Alcotest.test_case "telemetry preserves determinism" `Quick
       test_determinism;
+  ]
+
+let ring_tests =
+  [
+    Alcotest.test_case "capacity must be positive" `Quick test_capacity_guard;
+    Alcotest.test_case "emit order and timestamps" `Quick test_emit_order;
+    Alcotest.test_case "ring overwrite" `Quick test_ring_overwrite;
+    Alcotest.test_case "clear" `Quick test_clear;
+    Alcotest.test_case "customf disabled is lazy" `Quick test_customf_lazy;
   ]
