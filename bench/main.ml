@@ -39,6 +39,8 @@ module Style = Totem_rrp.Style
 module Vtime = Totem_engine.Vtime
 module Stats = Totem_engine.Stats
 module Const = Totem_srp.Const
+module Campaign = Totem_chaos.Campaign
+module Runner = Totem_chaos.Runner
 
 (* --- measurement -------------------------------------------------- *)
 
@@ -413,24 +415,57 @@ let fig6_point_cost ~sim_domains =
   note_cluster cluster;
   ((w1 -. w0) /. float_of_int (e1 - e0), e1 - e0, x1 - x0)
 
+(* The subscribed path, which the fig6 point never takes: one fixed
+   chaos campaign through [Runner.run], so the invariant monitor and the
+   flight recorder listen and every emit site builds its event. 3
+   nodes, active, byte-wire, a burst from each node, net 0 failed and
+   healed. Returns the words allocated per simulated event over the
+   whole run (construction included), the events and whether the
+   monitors stayed clean. The campaign runs once first, so one-time
+   initialisation is not counted. *)
+let subscribed_run_cost () =
+  let ms = Vtime.ms in
+  let campaign =
+    Campaign.make ~num_nodes:3 ~num_nets:2 ~style:Style.Active ~seed:11
+      ~duration:(ms 200) ~quiesce:(ms 300) ~wire:true
+      ~traffic:
+        (Campaign.Bursts
+           [ (0, 512, 20, ms 10); (1, 700, 20, ms 60); (2, 300, 20, ms 120) ])
+      [
+        { Campaign.at = ms 50; op = Campaign.Fail_net 0 };
+        { at = ms 150; op = Campaign.Heal_net 0 };
+      ]
+  in
+  let count r = ignore (Atomic.fetch_and_add events_total r.Runner.events) in
+  count (Runner.run campaign);
+  let w0 = allocated_words () in
+  let r = Runner.run campaign in
+  let w1 = allocated_words () in
+  count r;
+  ((w1 -. w0) /. float_of_int r.Runner.events, r.Runner.events, Runner.passed r)
+
 (* The pins. All are counts, not timings, so they repeat exactly from
    run to run on any host. Each words/event ceiling sits about one word
    above the figure measured when it was pinned (33.32 in the classic
-   loop, 34.24 at sim-domains 1), so one extra allocation per event (at
-   least two words) trips it. The event and window counts at
-   sim-domains 1 must match exactly: one extra event per token visit
-   moves the first, one more or one fewer barrier the second. Batching
-   that stops engaging moves neither (a skipped flush is still a
-   window); the batched-barrier check below catches it. A change that
+   loop, 34.24 at sim-domains 1, 123.04 on the subscribed path), so
+   one extra allocation per event (at least two words) trips it. The
+   event and window counts at sim-domains 1 and the subscribed run's
+   event count must match exactly: one extra event per token visit
+   moves an event count, one more or one fewer barrier the windows.
+   Batching that stops engaging moves neither (a skipped flush is
+   still a window); the batched-barrier check below catches it. A change that
    moves a pin on purpose re-pins it. *)
 let classic_words_ceiling = 34.3
 let d1_words_ceiling = 35.2
 let d1_events = 17_361
 let d1_windows = 5_178
+let subscribed_words_ceiling = 124.0
+let subscribed_events = 10_704
 
 (* Cost and batching gate for `dune runtest` (perf-smoke): the pins
-   above, then a quick fig6 slice at sim-domains 1 with batching on vs
-   off must agree on every figure, the event count and the protocol
+   above (the subscribed campaign must also stay violation-free), then
+   a quick fig6 slice at sim-domains 1 with batching on vs off must
+   agree on every figure, the event count and the protocol
    telemetry, and the batched run must actually skip barriers (none
    skipped with batching off). Deterministic throughout, so it cannot
    flake on a loaded host. Exits 1 on any breach. *)
@@ -455,6 +490,14 @@ let perf_smoke () =
   pin "sim-domains 1 words/event above ceiling" (wpe <= d1_words_ceiling);
   pin "sim-domains 1 event count moved" (events = d1_events);
   pin "sim-domains 1 window count moved" (windows = d1_windows);
+  let wpe, events, passed = subscribed_run_cost () in
+  Format.printf
+    "  chaos campaign, monitor and recorder subscribed: %.2f words/event \
+     (ceiling %.1f), %d events (pinned %d)@."
+    wpe subscribed_words_ceiling events subscribed_events;
+  pin "subscribed words/event above ceiling" (wpe <= subscribed_words_ceiling);
+  pin "subscribed event count moved" (events = subscribed_events);
+  pin "subscribed campaign violated an invariant" passed;
   let point ~batch size =
     let config =
       Config.make ~num_nodes:4 ~num_nets:2 ~style:Style.Passive ~wire_bytes:true
@@ -1012,8 +1055,10 @@ type target_run = {
   (* GC deltas over the target: allocation pressure is a first-class
      regression axis (compare.exe --max-alloc-regression), and
      [allocated_words] repeats exactly for a given tree whatever ran
-     before. With --jobs > 1 worker-domain allocation is not counted,
-     so alloc-gated baselines should be cut at --jobs 1. *)
+     before — for targets that run simulator events; the JSON writes
+     the others' deltas as null. With --jobs > 1 worker-domain
+     allocation is not counted, so alloc-gated baselines should be cut
+     at --jobs 1. *)
   tr_alloc_words : float;
   tr_minor_collections : int;
   (* Exchange window counters summed over the target's partitioned
@@ -1159,9 +1204,19 @@ let write_json path runs =
         (json_escape
            (Option.value t.tr_events_note ~default:"ran no simulator events"))
     end;
+    (* A target with no simulator events (micro: Bechamel runs each test
+       until a wall-clock quota) allocates as much as the host's speed
+       lets it, so its GC deltas are not counts; null, like its events,
+       with the note above saying why. *)
     pf "      \"gc\": {\n";
-    pf "        \"allocated_words\": %.0f,\n" t.tr_alloc_words;
-    pf "        \"minor_collections\": %d,\n" t.tr_minor_collections;
+    if tr_events > 0 then begin
+      pf "        \"allocated_words\": %.0f,\n" t.tr_alloc_words;
+      pf "        \"minor_collections\": %d,\n" t.tr_minor_collections
+    end
+    else begin
+      pf "        \"allocated_words\": null,\n";
+      pf "        \"minor_collections\": null,\n"
+    end;
     pf "        \"words_per_event\": %s\n"
       (json_num
          (if tr_events > 0 then

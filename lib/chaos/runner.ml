@@ -16,10 +16,13 @@ type result = {
   delivered : int;
   finished_at : Vtime.t;
   events : int;
-  history : (int * string list) list;
+  recorder : Recorder.t;
 }
 
 let passed r = r.violations = []
+
+(* Rendered on demand: most runs pass, and nothing reads their history. *)
+let history r = Recorder.dump_jsonl r.recorder
 
 let pp_result ppf r =
   match r.violations with
@@ -36,10 +39,10 @@ let pp_result ppf r =
 let slice = Vtime.ms 25
 
 (* Every run carries a flight recorder: a bounded per-node ring of the
-   most recent telemetry events, dumped into counterexamples so a
-   [.chaos.json] shows what each node was doing when the monitor fired.
-   The recorder is a read-only subscriber, so arming it cannot change
-   what the simulation computes. *)
+   most recent telemetry events, kept detached in the result and dumped
+   into counterexamples so a [.chaos.json] shows what each node was
+   doing when the monitor fired. The recorder is a read-only subscriber,
+   so arming it cannot change what the simulation computes. *)
 let recorder_capacity = 64
 
 let run ?(monitor = Invariant.default) ?sink ?(shadow = false)
@@ -136,7 +139,6 @@ let run ?(monitor = Invariant.default) ?sink ?(shadow = false)
       Invariant.final_checks mon ~submitted:(Campaign.submitted_messages campaign)
   end;
   Invariant.detach mon;
-  let history = Recorder.dump_jsonl recorder in
   Recorder.detach recorder;
   (match sink with
   | Some _ -> Telemetry.clear_sink (Cluster.telemetry cluster)
@@ -149,7 +151,7 @@ let run ?(monitor = Invariant.default) ?sink ?(shadow = false)
     delivered = Cluster.delivered_at cluster 0;
     finished_at = Cluster.now cluster;
     events = Cluster.events_processed cluster;
-    history;
+    recorder;
   }
 
 (* --- shrinking ------------------------------------------------------- *)
@@ -217,9 +219,13 @@ let shrink ?(monitor = Invariant.default) ?(budget = 160) ?prepare campaign
 
 module J = Chaos_json
 
-let schema = "totem-chaos/v2"
+let schema = "totem-chaos/v3"
 
-let schema_v1 = "totem-chaos/v1"
+(* Older schemas still replay their violation. v1 files carry no
+   history; v2 histories predate v3's event format (per-token string
+   lines, [token_tx] without [dst]/[aru]), so they cannot match a
+   replay's and are dropped on read. *)
+let older_schemas = [ "totem-chaos/v1"; "totem-chaos/v2" ]
 
 type counterexample = {
   cx_campaign : Campaign.t;
@@ -245,7 +251,7 @@ let history_json r =
             | Error m ->
               invalid_arg ("Runner.history_json: unparseable event: " ^ m))
           lines ))
-    r.history
+    (history r)
 
 let counterexample_to_json cx =
   J.Obj
@@ -279,9 +285,13 @@ let read_counterexample ~path =
   | Error m -> Error (Printf.sprintf "%s: %s" path m)
   | Ok v -> (
     try
-      (match J.get_str v "schema" path with
-      | s when s = schema || s = schema_v1 -> ()
-      | s -> raise (J.Parse_error (Printf.sprintf "%s: unexpected schema \"%s\"" path s)));
+      let current =
+        match J.get_str v "schema" path with
+        | s when s = schema -> true
+        | s when List.mem s older_schemas -> false
+        | s ->
+          raise (J.Parse_error (Printf.sprintf "%s: unexpected schema \"%s\"" path s))
+      in
       let campaign =
         match J.field v "campaign" with
         | Some c -> Campaign.of_json c path
@@ -297,10 +307,11 @@ let read_counterexample ~path =
         | None | Some J.Null -> None
         | Some vv -> Some (Invariant.violation_of_json vv path)
       in
-      (* v1 files carry no history block; read them as an empty dump so
-         replay skips the history comparison. *)
+      (* Read an older file's history as an empty dump so replay skips
+         the history comparison. *)
       let history =
         match J.field v "history" with
+        | _ when not current -> []
         | None | Some J.Null -> []
         | Some (J.Arr entries) ->
           List.map
@@ -345,7 +356,7 @@ let replay ?prepare cx =
       && expected.Invariant.detail = got.Invariant.detail
     then
       (* The violation matched; if the file carries a flight-recorder
-         dump (v2), the replay's event history must match too. *)
+         dump (v3), the replay's event history must match too. *)
       if cx.cx_history = [] || history_json r = cx.cx_history then Reproduced r
       else
         Diverged

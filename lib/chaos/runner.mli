@@ -19,14 +19,18 @@ type result = {
   events : int;
       (** simulator events processed — with [delivered] and
           [finished_at], a cheap determinism fingerprint *)
-  history : (int * string list) list;
-      (** flight-recorder dump: for each node (and [-1] for fabric-level
-          events), the last events it saw as telemetry JSONL lines,
-          oldest first, bounded per node. Deterministic like the rest of
-          the result. *)
+  recorder : Totem_engine.Recorder.t;
+      (** the run's flight recorder, detached: the last events each
+          node saw, bounded per node. Read it with {!history}. *)
 }
 
 val passed : result -> bool
+
+val history : result -> (int * string list) list
+(** The flight-recorder dump, rendered on demand: for each node (and
+    [-1] for fabric-level events), the last events it saw as telemetry
+    JSONL lines, oldest first. Deterministic like the rest of the
+    result, and byte-identical on every call. *)
 
 val pp_result : Format.formatter -> result -> unit
 
@@ -109,8 +113,10 @@ val shrink :
 (** {1 Counterexample files} *)
 
 val schema : string
-(** ["totem-chaos/v2"]. [read_counterexample] also accepts v1 files,
-    which simply carry no history block. *)
+(** ["totem-chaos/v3"]. [read_counterexample] also accepts v1 files,
+    which carry no history block, and v2 files, whose history predates
+    v3's event format and is dropped on read: both replay their
+    violation without the history comparison. *)
 
 type counterexample = {
   cx_campaign : Campaign.t;
@@ -124,7 +130,7 @@ type counterexample = {
   cx_history : (int * Chaos_json.t list) list;
       (** flight-recorder dump of the capturing run, per node ([-1] =
           fabric), each event a parsed telemetry JSON object; [] for v1
-          files and for captures made without history *)
+          and v2 files and for captures made without history *)
 }
 
 val history_json : result -> (int * Chaos_json.t list) list
@@ -142,7 +148,7 @@ val read_counterexample : path:string -> (counterexample, string) Stdlib.result
 type replay_outcome =
   | Reproduced of result
       (** the replay hit the same invariant at the same virtual time
-          with the same detail — and, for v2 files, an identical
+          with the same detail — and, for v3 files, an identical
           flight-recorder history *)
   | Diverged of result * string
   | Clean_replay of result

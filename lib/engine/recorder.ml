@@ -3,38 +3,52 @@
    campaigns so that an invariant violation arrives with the exact
    event history that preceded it.
 
-   Cost model: one Telemetry.subscribe observer; each event is O(1) —
-   an array store plus one entry record — and nothing allocates when no
-   events flow (the rings are preallocated). Attaching a recorder makes
-   the hub [active], so emit sites start constructing events; like
-   every subscriber it is read-only with respect to protocol state, so
-   the simulation stays bitwise identical (OBSERVABILITY.md invariant
-   2). Under [sim_domains >= 1] the recorder subscribes on the root hub
-   and therefore sees the canonical (time, node, seq) drain order —
-   dumps are identical for every domain count. *)
+   Cost model: one Telemetry.subscribe observer; recording an event
+   is two array stores into preallocated parallel rings (times and
+   events), with no entry record and no option per event, so the
+   recorder allocates nothing of its own once attached. Entries are
+   built only when history is read ([node_history], [dump]).
+   Attaching a recorder makes the hub [active], so emit sites start
+   constructing events; like every subscriber it is read-only with
+   respect to protocol state, so the simulation stays bitwise identical
+   (OBSERVABILITY.md invariant 2). Under [sim_domains >= 1] the
+   recorder subscribes on the root hub and therefore sees the canonical
+   (time, node, seq) drain order — dumps are identical for every domain
+   count. *)
 
 type ring = {
-  slots : Telemetry.entry option array;
+  times : Vtime.t array;
+  events : Telemetry.event array;
   mutable next : int;
   mutable count : int;
 }
 
-let ring_create capacity = { slots = Array.make capacity None; next = 0; count = 0 }
+(* Fills empty slots so a ring retains no event it no longer holds. *)
+let no_event = Telemetry.Custom { component = ""; message = "" }
 
-let ring_push r e =
-  let cap = Array.length r.slots in
-  r.slots.(r.next) <- Some e;
-  r.next <- (r.next + 1) mod cap;
-  r.count <- min (r.count + 1) cap
+let ring_create capacity =
+  {
+    times = Array.make capacity Vtime.zero;
+    events = Array.make capacity no_event;
+    next = 0;
+    count = 0;
+  }
+
+let ring_push r time event =
+  let cap = Array.length r.times in
+  let i = r.next in
+  r.times.(i) <- time;
+  r.events.(i) <- event;
+  r.next <- (if i + 1 = cap then 0 else i + 1);
+  if r.count < cap then r.count <- r.count + 1
 
 let ring_entries r =
-  let cap = Array.length r.slots in
+  let cap = Array.length r.times in
   let start = (r.next - r.count + cap) mod cap in
   let out = ref [] in
   for i = r.count - 1 downto 0 do
-    match r.slots.((start + i) mod cap) with
-    | Some e -> out := e :: !out
-    | None -> ()
+    let j = (start + i) mod cap in
+    out := { Telemetry.time = r.times.(j); event = r.events.(j) } :: !out
   done;
   !out
 
@@ -42,16 +56,16 @@ type t = {
   capacity : int;
   nodes : ring array;
   fabric : ring; (* events with no owning node (losses, corruption, ...) *)
-  tel : Telemetry.t;
-  mutable sub : Telemetry.subscription option;
+  mutable sub : (Telemetry.t * Telemetry.subscription) option;
+      (* dropped on [detach], so a detached recorder keeps only its
+         rings alive, not the hub and the simulation behind it *)
 }
 
 let record t time event =
-  let entry = { Telemetry.time; event } in
-  match Telemetry.node_of_event event with
-  | Some node when node >= 0 && node < Array.length t.nodes ->
-    ring_push t.nodes.(node) entry
-  | _ -> ring_push t.fabric entry
+  let node = Telemetry.node_of_event event in
+  if node >= 0 && node < Array.length t.nodes then
+    ring_push t.nodes.(node) time event
+  else ring_push t.fabric time event
 
 let attach ?(capacity = 64) ~nodes tel =
   if capacity <= 0 then invalid_arg "Recorder.attach: capacity must be positive";
@@ -61,17 +75,16 @@ let attach ?(capacity = 64) ~nodes tel =
       capacity;
       nodes = Array.init nodes (fun _ -> ring_create capacity);
       fabric = ring_create capacity;
-      tel;
       sub = None;
     }
   in
-  t.sub <- Some (Telemetry.subscribe tel (record t));
+  t.sub <- Some (tel, Telemetry.subscribe tel (record t));
   t
 
 let detach t =
   match t.sub with
-  | Some s ->
-    Telemetry.unsubscribe t.tel s;
+  | Some (tel, s) ->
+    Telemetry.unsubscribe tel s;
     t.sub <- None
   | None -> ()
 
@@ -108,7 +121,7 @@ let dump_jsonl t =
 
 let clear t =
   let reset r =
-    Array.fill r.slots 0 (Array.length r.slots) None;
+    Array.fill r.events 0 (Array.length r.events) no_event;
     r.next <- 0;
     r.count <- 0
   in

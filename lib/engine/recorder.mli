@@ -3,16 +3,18 @@
     A recorder is one {!Telemetry.subscribe} observer that shards every
     event into a fixed-capacity ring for its owning node
     ({!Telemetry.node_of_event}), or into a separate fabric ring for
-    node-less network events. Each event costs O(1) (an array store and
-    one entry record); the rings are preallocated, so an idle recorder
-    allocates nothing. Like every subscriber it is read-only, keeping
+    node-less network events. Each event costs two array stores into
+    preallocated parallel rings (times and events): recording allocates
+    nothing, and {!Telemetry.entry} records are built only when history
+    is read. Like every subscriber it is read-only, keeping
     the simulation bitwise identical (OBSERVABILITY.md invariant 2) —
     and because it observes the root hub, partitioned runs
     ([sim_domains >= 1]) feed it the canonical (time, node, seq) drain
     order, so dumps are identical for every domain count.
 
-    The chaos runner attaches one per campaign and embeds {!dump_jsonl}
-    in [.chaos.json] counterexamples ([totem-chaos/v2]). *)
+    The chaos runner attaches one per campaign, keeps it detached in
+    the run's result and embeds {!dump_jsonl} in [.chaos.json]
+    counterexamples ([totem-chaos/v3]). *)
 
 type t
 
@@ -22,7 +24,9 @@ val attach : ?capacity:int -> nodes:int -> Telemetry.t -> t
     @raise Invalid_argument if [capacity <= 0] or [nodes <= 0]. *)
 
 val detach : t -> unit
-(** Unsubscribe from the hub; recorded history stays readable. *)
+(** Unsubscribe from the hub; recorded history stays readable. A
+    detached recorder no longer references the hub, so holding it does
+    not keep the simulation alive. *)
 
 val record : t -> Vtime.t -> Telemetry.event -> unit
 (** Feed one event directly (what the subscription does internally). *)

@@ -22,7 +22,13 @@ type drop_kind = Drop_token | Drop_packet
 type event =
   (* token life cycle (SRP view; per-network copies are Token_copy_rx) *)
   | Token_rx of { node : int; tok : token_info }
-  | Token_tx of { node : int; tok : token_info; rtr_len : int }
+  | Token_tx of {
+      node : int;
+      tok : token_info;
+      aru : int;
+      rtr_len : int;
+      dst : int;
+    }
   | Token_copy_rx of { node : int; net : int; tok : token_info }
   | Token_retransmit of { node : int; tok : token_info }
   | Token_loss of { node : int; ring_id : int }
@@ -214,11 +220,18 @@ let[@inline] active t =
   let r = root t in
   r.tracing || r.sink <> None || r.subscribers <> []
 
+(* A plain recursion rather than [List.iter] over a closure capturing
+   [time] and [event]: fanning an event out allocates nothing. *)
+let rec notify subs time event =
+  match subs with
+  | [] -> ()
+  | (_, f) :: rest ->
+    f time event;
+    notify rest time event
+
 let dispatch t time event =
   (match t.sink with Some f -> f time event | None -> ());
-  (match t.subscribers with
-  | [] -> ()
-  | subs -> List.iter (fun (_, f) -> f time event) subs);
+  notify t.subscribers time event;
   if t.tracing then begin
     t.ring.(t.next) <- Some { time; event };
     t.next <- (t.next + 1) mod t.capacity;
@@ -384,6 +397,12 @@ let drain t ~children ~set_clock =
 let custom t ~component message =
   if active t then emit t (Custom { component; message })
 
+let node_labels prefix =
+  let table = Array.init 64 (fun node -> prefix ^ string_of_int node) in
+  fun node ->
+    if node >= 0 && node < Array.length table then table.(node)
+    else prefix ^ string_of_int node
+
 let customf t ~component fmt =
   if active t then Format.kasprintf (fun s -> custom t ~component s) fmt
   else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
@@ -508,7 +527,9 @@ let component_of = function
 (* Which simulated node an event happened on, if any: the key the
    flight recorder ([Recorder]) shards its per-node rings by. Network
    and fabric events that are not tied to a receiving NIC — losses,
-   blocks, in-flight corruption, status changes — have no node. *)
+   blocks, in-flight corruption, status changes — have no node: -1. An
+   [int] rather than an option so the recorder's per-event lookup
+   allocates nothing. *)
 let node_of_event = function
   | Token_rx { node; _ } | Token_tx { node; _ } | Token_copy_rx { node; _ }
   | Token_retransmit { node; _ } | Token_loss { node; _ }
@@ -523,10 +544,10 @@ let node_of_event = function
   | Memb_transition { node; _ }
   | Ring_installed { node; _ } | Buffer_drop { node; _ }
   | Frame_crc_reject { node; _ } | Frame_decode_reject { node; _ } ->
-    Some node
+    node
   | Frame_loss _ | Frame_blocked _ | Net_status _ | Frame_corrupt _ | Custom _
     ->
-    None
+    -1
 
 let pp_tok ppf (tk : token_info) =
   Format.fprintf ppf "ring=%d rot=%d hop=%d seq=%d" tk.ring_id tk.rotation
@@ -541,8 +562,9 @@ let message_of ev =
     (fun ppf ->
       match ev with
       | Token_rx { tok; _ } -> Format.fprintf ppf "token rx (%a)" pp_tok tok
-      | Token_tx { tok; rtr_len; _ } ->
-        Format.fprintf ppf "token tx (%a rtr=%d)" pp_tok tok rtr_len
+      | Token_tx { tok; aru; rtr_len; dst; _ } ->
+        Format.fprintf ppf "token tx to N%d (%a aru=%d rtr=%d)" dst pp_tok tok
+          aru rtr_len
       | Token_copy_rx { net; tok; _ } ->
         Format.fprintf ppf "token copy on net%d (%a)" net pp_tok tok
       | Token_retransmit { tok; _ } ->
@@ -648,8 +670,9 @@ let fields_of_event ev =
   in
   match ev with
   | Token_rx { node; tok } -> i "node" node :: tokf tok
-  | Token_tx { node; tok; rtr_len } ->
-    (i "node" node :: tokf tok) @ [ i "rtr_len" rtr_len ]
+  | Token_tx { node; tok; aru; rtr_len; dst } ->
+    (i "node" node :: tokf tok)
+    @ [ i "aru" aru; i "rtr_len" rtr_len; i "dst" dst ]
   | Token_copy_rx { node; net; tok } ->
     i "node" node :: i "net" net :: tokf tok
   | Token_retransmit { node; tok } -> i "node" node :: tokf tok

@@ -26,7 +26,16 @@ type drop_kind = Drop_token | Drop_packet
 
 type event =
   | Token_rx of { node : int; tok : token_info }
-  | Token_tx of { node : int; tok : token_info; rtr_len : int }
+  | Token_tx of {
+      node : int;
+      tok : token_info;
+      aru : int;
+      rtr_len : int;
+      dst : int;
+    }
+      (** [node] forwarded the token to ring successor [dst]; [aru] and
+          [rtr_len] are the forwarded token's aru and retransmission
+          request count *)
   | Token_copy_rx of { node : int; net : int; tok : token_info }
   | Token_retransmit of { node : int; tok : token_info }
   | Token_loss of { node : int; ring_id : int }
@@ -161,6 +170,12 @@ val customf :
 (** Printf-style [custom]; the format arguments are not evaluated when
     telemetry is inactive. *)
 
+val node_labels : string -> int -> string
+(** [node_labels prefix] maps a node to its component label
+    [prefix ^ string_of_int node], e.g. ["srp3"]; the labels of nodes
+    0..63 are built once, when it is applied to [prefix], so a trace
+    line's label costs a lookup. *)
+
 (** {1 Partitioned-mode buffering}
 
     Under the parallel simulator core ({!Exchange}) each simulated node
@@ -281,11 +296,12 @@ val pp_entry : Format.formatter -> entry -> unit
 val component_of : event -> string
 (** Component label, e.g. ["srp3"], ["rrp0"], ["net1"]. *)
 
-val node_of_event : event -> int option
-(** The simulated node an event happened on: [None] for network-level
+val node_of_event : event -> int
+(** The simulated node an event happened on: [-1] for network-level
     events not tied to a receiving NIC ([Frame_loss], [Frame_blocked],
     [Net_status], [Frame_corrupt]) and for [Custom]. The flight
-    recorder ({!Recorder}) shards its per-node rings by this key. *)
+    recorder ({!Recorder}) shards its per-node rings by this key; an
+    [int] rather than an option, so the lookup allocates nothing. *)
 
 val message_of : event -> string
 (** Human-readable rendering of one event's payload. *)

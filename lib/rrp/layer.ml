@@ -73,12 +73,13 @@ let faulty_snapshot b = Array.copy b.faulty
 let non_faulty_count b =
   Array.fold_left (fun acc f -> if f then acc else acc + 1) 0 b.faulty
 
-(* String trace lines; inactive, no component string is built and
-   nothing is formatted. *)
+(* String trace lines; inactive, nothing is formatted. *)
+let component = Telemetry.node_labels "rrp"
+
 let emit b fmt =
   match b.telemetry with
   | Some tl when Telemetry.active tl ->
-    Telemetry.customf tl ~component:(Printf.sprintf "rrp%d" b.node) fmt
+    Telemetry.customf tl ~component:(component b.node) fmt
   | _ -> Format.ikfprintf ignore Format.str_formatter fmt
 
 let telemetry b = b.telemetry

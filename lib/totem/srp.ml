@@ -143,13 +143,15 @@ type t = {
 let[@inline] tel_active t =
   match t.telemetry with Some tl -> Telemetry.active tl | None -> false
 
-(* String trace lines. Inactive, this builds no component string and
-   formats nothing; the format's argument closures are still applied, so
-   call sites on the per-token path also sit under [tel_active]. *)
+(* String trace lines, for the rare membership transitions only: the
+   per-token and per-packet paths emit typed events alone. Inactive,
+   this formats nothing. *)
+let component = Telemetry.node_labels "srp"
+
 let trace t fmt =
   match t.telemetry with
   | Some tl when Telemetry.active tl ->
-    Telemetry.customf tl ~component:(Printf.sprintf "srp%d" t.me) fmt
+    Telemetry.customf tl ~component:(component t.me) fmt
   | _ -> Format.ikfprintf ignore Format.str_formatter fmt
 
 let tel_emit t ev =
@@ -272,11 +274,9 @@ let token_retransmit_expired t () =
     | None -> ()
     | Some tok ->
       t.stats.token_retransmits <- t.stats.token_retransmits + 1;
-      if tel_active t then begin
+      if tel_active t then
         tel_emit t
           (Telemetry.Token_retransmit { node = t.me; tok = tok_info tok });
-        trace t "retransmit token %a" Token.pp tok
-      end;
       t.lower.send_token ~dst:(Membership.next_on_ring t.ring ~me:t.me) tok;
       Timer.start_if_stopped (get_timer t.token_retransmit_timer)
         t.const.token_retransmit_interval
@@ -699,10 +699,8 @@ and process_token t (tok : Token.t) =
       Cpu.submit t.cpu ~cost:(packet_cost p) (fun () ->
           if still_valid () then begin
             t.stats.retransmissions_served <- t.stats.retransmissions_served + 1;
-            if tel_active t then begin
+            if tel_active t then
               tel_emit t (Telemetry.Rtr_serve { node = t.me; seq = p.seq });
-              trace t "retransmit seq=%d" p.seq
-            end;
             t.lower.send_data p
           end))
     retrans_packets;
@@ -824,12 +822,16 @@ and complete_token_visit t tok ~rotation ~rtr_left ~new_seq ~sent =
     t.aru_history <- Retransmit.truncate 4 t.aru_history
   | _ -> ());
   let dst = Membership.next_on_ring t.ring ~me:t.me in
-  if tel_active t then begin
+  if tel_active t then
     tel_emit t
       (Telemetry.Token_tx
-         { node = t.me; tok = tok_info tok'; rtr_len = List.length rtr });
-    trace t "forward %a to N%d" Token.pp tok' dst
-  end;
+         {
+           node = t.me;
+           tok = tok_info tok';
+           aru;
+           rtr_len = List.length rtr;
+           dst;
+         });
   t.lower.send_token ~dst tok';
   t.last_sent_token <- Some tok';
   Timer.start_if_stopped (get_timer t.token_retransmit_timer)

@@ -132,8 +132,7 @@ let test_reinstatement_events_attributed () =
   let module Telemetry = Totem_engine.Telemetry in
   List.iter
     (fun (label, node, ev) ->
-      Alcotest.(check (option int)) label (Some node)
-        (Telemetry.node_of_event ev))
+      Alcotest.(check int) label node (Telemetry.node_of_event ev))
     [
       ( "condemned",
         2,
@@ -148,7 +147,7 @@ let test_reinstatement_events_attributed () =
         0,
         Telemetry.Net_fault_marked { node = 0; net = 1; evidence = "test" } );
     ];
-  Alcotest.(check (option int)) "net status is node-less" None
+  Alcotest.(check int) "net status is node-less" (-1)
     (Telemetry.node_of_event
        (Telemetry.Net_status { net = 0; status = "burst" }))
 

@@ -201,7 +201,7 @@ let test_shrink_round_trip () =
       cx_history = Runner.history_json r;
     };
   Alcotest.(check bool) "flight recorder captured history" true
-    (r.Runner.history <> []);
+    (Runner.history r <> []);
   let outcome = Runner.replay_file ~path in
   Sys.remove path;
   match outcome with
@@ -209,6 +209,69 @@ let test_shrink_round_trip () =
   | Ok (Runner.Diverged (_, why)) -> Alcotest.failf "replay diverged: %s" why
   | Ok (Runner.Clean_replay _) -> Alcotest.fail "replay came back clean"
   | Error m -> Alcotest.failf "replay failed: %s" m
+
+(* A counterexample written before v3: its history has the per-token
+   forward line and a token_tx without dst/aru, which no replay emits
+   any more. The violation still reproduces; the history is not
+   compared. The same file labelled v3 must diverge on that history. *)
+let v2_counterexample schema =
+  Printf.sprintf
+    {|{
+  "schema": "%s",
+  "shrunk": true,
+  "campaign": {
+    "nodes": 2, "nets": 2, "style": "active", "seed": 5,
+    "duration_ns": 50000000, "quiesce_ns": 50000000,
+    "wire_bytes": false, "reinstate": false,
+    "traffic": { "kind": "bursts", "bursts": [] },
+    "steps": []
+  },
+  "monitor": {
+    "agreement": true, "membership": true, "virgin_net": true,
+    "sporadic_loss_max": 0, "lag_limit": null, "condemn_within_ns": null,
+    "token_gap_ns": 0, "check_every_ns": 25000000, "flap_limit": null,
+    "recondemn_within_ns": null
+  },
+  "violation": {
+    "invariant": "L-token-liveness",
+    "at_ns": 25000000,
+    "detail": "no token reception anywhere for 34.807us (bound 0ns)"
+  },
+  "history": [
+    { "node": 0, "events": [
+      { "t_ns": 19914746, "type": "token_tx", "node": 0, "ring_id": 1,
+        "seq": 0, "rotation": 58, "hops": 117, "rtr_len": 0 } ] },
+    { "node": -1, "events": [
+      { "t_ns": 19914746, "type": "custom", "component": "srp0",
+        "message": "forward token(ring=1 rot=58 hop=117 seq=0 aru=0 fcc=0 rtr=[]) to N1" } ] }
+  ]
+}
+|}
+    schema
+
+let test_v2_replays_without_history () =
+  let replay schema =
+    let path = Filename.temp_file "totem" ".chaos.json" in
+    let oc = open_out path in
+    output_string oc (v2_counterexample schema);
+    close_out oc;
+    let cx = Runner.read_counterexample ~path in
+    let outcome = Runner.replay_file ~path in
+    Sys.remove path;
+    (cx, outcome)
+  in
+  (match replay "totem-chaos/v2" with
+  | Ok cx, Ok (Runner.Reproduced _) ->
+    Alcotest.(check int) "v2 history dropped on read" 0
+      (List.length cx.Runner.cx_history)
+  | _, Ok (Runner.Diverged (_, why)) -> Alcotest.failf "v2 replay diverged: %s" why
+  | _, Ok (Runner.Clean_replay _) -> Alcotest.fail "v2 replay came back clean"
+  | Error m, _ | _, Error m -> Alcotest.failf "v2 replay failed: %s" m);
+  match replay Runner.schema with
+  | _, Ok (Runner.Diverged (_, why)) ->
+    Alcotest.(check string) "v3 compares the history"
+      "violation reproduced, but the event history diverged" why
+  | _ -> Alcotest.fail "a stale history labelled v3 must diverge"
 
 let test_liveness_misthreshold_shrinks_to_nothing () =
   (* token_gap = 0 condemns any instant without a token reception: the
@@ -284,4 +347,6 @@ let tests =
       test_replay_determinism;
     Alcotest.test_case "stock campaign passes armed monitors" `Slow
       test_stock_campaign_passes;
+    Alcotest.test_case "v2 counterexample replays without its history" `Quick
+      test_v2_replays_without_history;
   ]

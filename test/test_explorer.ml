@@ -62,7 +62,7 @@ let qcheck_path_replays_byte_for_byte =
       && r1.Runner.events = r2.Runner.events
       && r1.Runner.delivered = r2.Runner.delivered
       && r1.Runner.finished_at = r2.Runner.finished_at
-      && r1.Runner.history = r2.Runner.history)
+      && Runner.history r1 = Runner.history r2)
 
 let test_fingerprints_match_across_domains () =
   let cfg = base ~depth:2 () in

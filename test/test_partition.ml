@@ -126,7 +126,7 @@ let fingerprint (r : Runner.result) =
     r.Runner.delivered,
     r.Runner.finished_at,
     r.Runner.events,
-    r.Runner.history )
+    Runner.history r )
 
 let test_chaos_domains_deterministic style () =
   let campaign = chaos_campaign style in

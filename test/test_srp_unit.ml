@@ -10,6 +10,8 @@ module Wire = Totem_srp.Wire
 module Token = Totem_srp.Token
 module Message = Totem_srp.Message
 module Const = Totem_srp.Const
+module Telemetry = Totem_engine.Telemetry
+module J = Totem_chaos.Chaos_json
 
 type script = {
   mutable data_out : Wire.packet list;  (* newest first *)
@@ -19,8 +21,9 @@ type script = {
   mutable delivered : Message.t list;
 }
 
-let make_node ?(me = 0) () =
+let make_node ?(me = 0) ?telemetry () =
   let sim = Sim.create () in
+  let telemetry = Option.map (fun f -> f sim) telemetry in
   let cpu = Cpu.create sim ~name:"cpu" in
   let s =
     { data_out = []; tokens_out = []; joins_out = []; commits_out = [];
@@ -36,7 +39,7 @@ let make_node ?(me = 0) () =
     }
   in
   let srp =
-    Srp.create sim ~cpu ~const:Const.default ~me ~lower
+    Srp.create sim ~cpu ~const:Const.default ~me ~lower ?telemetry
       {
         Srp.on_deliver = (fun m -> s.delivered <- m :: s.delivered);
         on_ring_change = (fun ~ring_id:_ ~members:_ -> ());
@@ -69,6 +72,48 @@ let test_token_visit_sends_queued () =
     Alcotest.(check int) "hops counted" 1 tok.Token.hops
   | l -> Alcotest.failf "expected 1 token, got %d" (List.length l));
   Alcotest.(check int) "own messages self-delivered" 2 (List.length s.delivered)
+
+(* The typed Token_tx event carries what the forward trace line used
+   to: the successor it went to and the token's aru, in the JSONL
+   export too. *)
+let test_token_tx_names_successor () =
+  let tl = ref None in
+  let telemetry sim =
+    let t = Telemetry.create sim in
+    Telemetry.set_tracing t true;
+    tl := Some t;
+    t
+  in
+  let sim, srp, s = make_node ~me:2 ~telemetry () in
+  let tl = Option.get !tl in
+  Srp.install_ring srp ~ring_id:1 ~members:[| 0; 1; 2 |];
+  Srp.submit srp ~size:500 ();
+  Srp.bootstrap_token srp;
+  run sim 5;
+  let dst, tok =
+    match s.tokens_out with
+    | [ sent ] -> sent
+    | l -> Alcotest.failf "expected 1 token, got %d" (List.length l)
+  in
+  Alcotest.(check int) "forwarded to the next member" 0 dst;
+  match
+    List.filter_map
+      (fun (e : Telemetry.entry) ->
+        match e.event with Telemetry.Token_tx _ -> Some e | _ -> None)
+      (Telemetry.events tl)
+  with
+  | [ ({ event = Telemetry.Token_tx tx; _ } as e) ] ->
+    Alcotest.(check int) "event dst is the successor" dst tx.dst;
+    Alcotest.(check int) "event aru is the token's" tok.Token.aru tx.aru;
+    let line = Telemetry.json_of_event e.time e.event in
+    let v =
+      match J.parse line with Ok v -> v | Error m -> Alcotest.failf "%s: %s" line m
+    in
+    Alcotest.(check string) "type" "token_tx" (J.get_str v "type" line);
+    Alcotest.(check int) "t_ns" e.time (J.get_int v "t_ns" line);
+    Alcotest.(check int) "dst field" dst (J.get_int v "dst" line);
+    Alcotest.(check int) "aru field" tok.Token.aru (J.get_int v "aru" line)
+  | l -> Alcotest.failf "expected 1 token_tx event, got %d" (List.length l)
 
 let test_foreign_data_is_buffered_until_ordered () =
   let sim, srp, s = make_node () in
@@ -207,4 +252,6 @@ let tests =
       test_commit_round1_forwarding;
     Alcotest.test_case "commit round 2 starts recovery" `Quick
       test_commit_round2_starts_recovery;
+    Alcotest.test_case "token_tx names the successor and aru" `Quick
+      test_token_tx_names_successor;
   ]

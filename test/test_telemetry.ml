@@ -235,6 +235,63 @@ let test_determinism () =
   Alcotest.(check int) "off-run saw nothing" 0 seen_off;
   Alcotest.(check bool) "on-run saw events" true (seen_on > 0)
 
+(* --- flight recorder ---------------------------------------------------- *)
+
+let tok_at seq = { Telemetry.ring_id = 1; seq; rotation = 0; hops = seq }
+
+(* Recording is two array stores: with the events built beforehand,
+   emitting thousands of them through an attached recorder allocates a
+   constant number of words, not a number per event. *)
+let test_recorder_allocation () =
+  let sim = Sim.create () in
+  let tl = Telemetry.create sim in
+  let recorder = Recorder.attach ~capacity:16 ~nodes:2 tl in
+  let n = 10_000 in
+  let events =
+    Array.init n (fun i ->
+        if i mod 3 = 2 then Telemetry.Frame_loss { net = 0; src = i mod 2 }
+        else Telemetry.Token_rx { node = i mod 2; tok = tok_at i })
+  in
+  let w0 = Gc.minor_words () in
+  Array.iter (Telemetry.emit tl) events;
+  let words = Gc.minor_words () -. w0 in
+  if words > 64.0 then
+    Alcotest.failf "recording %d events allocated %.0f words" n words;
+  Alcotest.(check int) "node ring full" 16
+    (List.length (Recorder.node_history recorder 0))
+
+(* Past capacity a ring keeps the newest entries, oldest first, in each
+   node's ring and in the fabric ring alike. *)
+let test_recorder_wrap () =
+  let sim = Sim.create () in
+  let tl = Telemetry.create sim in
+  let recorder = Recorder.attach ~capacity:4 ~nodes:2 tl in
+  for i = 1 to 10 do
+    Sim.run_until sim (Vtime.us i);
+    Telemetry.emit tl (Telemetry.Token_rx { node = 1; tok = tok_at i });
+    if i <= 6 then Telemetry.emit tl (Telemetry.Frame_loss { net = 0; src = i })
+  done;
+  let seqs entries =
+    List.map
+      (fun (e : Telemetry.entry) ->
+        match e.event with
+        | Telemetry.Token_rx { tok; _ } -> tok.Telemetry.seq
+        | Telemetry.Frame_loss { src; _ } -> src
+        | _ -> Alcotest.fail "unexpected event")
+      entries
+  in
+  let node1 = Recorder.node_history recorder 1 in
+  Alcotest.(check (list int)) "last four, oldest first" [ 7; 8; 9; 10 ] (seqs node1);
+  Alcotest.(check (list int)) "their times" [ 7_000; 8_000; 9_000; 10_000 ]
+    (List.map (fun (e : Telemetry.entry) -> e.time) node1);
+  Alcotest.(check (list int)) "fabric ring wraps too" [ 3; 4; 5; 6 ]
+    (seqs (Recorder.fabric_history recorder));
+  Alcotest.(check (list int)) "empty node ring" [] (seqs (Recorder.node_history recorder 0));
+  Alcotest.(check (list int)) "dump: node order, fabric last" [ 1; -1 ]
+    (List.map fst (Recorder.dump recorder));
+  Recorder.clear recorder;
+  Alcotest.(check int) "clear empties" 0 (List.length (Recorder.dump recorder))
+
 let tests =
   [
     Alcotest.test_case "metrics registry" `Quick test_registry;
@@ -246,6 +303,10 @@ let tests =
       test_passive_hold_spans;
     Alcotest.test_case "telemetry preserves determinism" `Quick
       test_determinism;
+    Alcotest.test_case "recorder allocates nothing per event" `Quick
+      test_recorder_allocation;
+    Alcotest.test_case "recorder ring wrap keeps the newest, oldest first"
+      `Quick test_recorder_wrap;
   ]
 
 let ring_tests =

@@ -200,7 +200,9 @@ let read_file path =
   s
 
 (* Every line an object carrying at least t_ns + type, timestamps
-   monotone non-decreasing (the trace is emitted in simulation order). *)
+   monotone non-decreasing (the trace is emitted in simulation order).
+   A token_tx line also names its node, the successor it forwarded to
+   and the token's aru: no string line repeats those any more. *)
 let validate_trace path =
   let ic = open_in path in
   let lines = ref 0 and last_t = ref neg_infinity in
@@ -216,7 +218,10 @@ let validate_trace path =
          in
          (match v with Obj _ -> () | _ -> bad "%s: not a JSON object" where);
          let t = require_num v "t_ns" where in
-         let _ = require_str v "type" where in
+         if require_str v "type" where = "token_tx" then
+           List.iter
+             (fun k -> ignore (require_num v k where))
+             [ "node"; "dst"; "aru"; "rtr_len" ];
          if t < !last_t then
            bad "%s: t_ns %.0f goes backwards (previous %.0f)" where t !last_t;
          last_t := t
